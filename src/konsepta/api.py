@@ -9,6 +9,7 @@ for its whole lifetime; ingest requests serialize on the store write lock.
 
 from __future__ import annotations
 
+import hmac
 import json
 import logging
 import time
@@ -350,7 +351,8 @@ def _check_admin(auth_header: str | None, config: ApiConfig) -> None:
     parts = auth_header.split(None, 1)
     if len(parts) != 2 or parts[0].lower() != "bearer":
         raise _HttpError(401, "bad_request", "authorization must be 'Bearer <token>'")
-    if not config.admin_token or parts[1] != config.admin_token:
+    if not config.admin_token or not hmac.compare_digest(
+            parts[1].encode("utf-8"), config.admin_token.encode("utf-8")):
         raise _HttpError(403, "bad_request", "invalid admin token")
 
 
@@ -396,15 +398,20 @@ def make_server(store: Store, host: str, port: int, config: ApiConfig = DEFAULT_
 
         def _handle(self, method: str) -> None:
             started = time.perf_counter()
-            body = None
-            length = int(self.headers.get("Content-Length") or 0)
-            if length:
-                body = self.rfile.read(length)
-            status, payload = dispatch(store, method, self.path, body, config, dict(self.headers))
+            raw_length = self.headers.get("Content-Length") or "0"
+            framed = raw_length.isascii() and raw_length.isdigit()
+            if framed:
+                length = int(raw_length)
+                body = self.rfile.read(length) if length else None
+                status, payload = dispatch(store, method, self.path, body, config, dict(self.headers))
+            else:
+                status, payload = 400, _error_payload("bad_request", f"invalid Content-Length: {raw_length!r}")
             raw = serialize_body(payload)
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(raw)))
+            if not framed:  # the body's end is unknown, so the connection cannot be reused
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(raw)
             elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import Gender, PartOfSpeech, fold, nfc
-from .store import StoreState, Store
+from .store import StoreState
 
 
 class TokenClass(str, Enum):
@@ -155,20 +155,13 @@ class DisambiguationWeights:
 
 DEFAULT_WEIGHTS = DisambiguationWeights()
 
-StoreLike = Store | StoreState
 
-
-def _state(store: StoreLike) -> StoreState:
-    return store.snapshot() if isinstance(store, Store) else store
-
-
-def lemma_candidates(token_text: str, store: StoreLike) -> list[tuple[str, PartOfSpeech | None, Gender]]:
+def lemma_candidates(token_text: str, state: StoreState) -> list[tuple[str, PartOfSpeech | None, Gender]]:
     """Possible (lemma, pos, gender) readings of one word token.
 
     Union of form-index hits and the identity reading when the token itself
     case-folds to a stored lemma; deduplicated, deterministic order.
     """
-    state = _state(store)
     text = nfc(token_text)
     found: set[tuple[str, PartOfSpeech | None, Gender]] = set()
     for form in state.form_lookup(text):
@@ -278,14 +271,13 @@ def _mwe_match_at(state: StoreState, tokens: list[Token], start_idx: int, cache:
     return None
 
 
-def extract(text: str, store: StoreLike, weights: DisambiguationWeights = DEFAULT_WEIGHTS) -> list[Annotation]:
+def extract(text: str, state: StoreState, weights: DisambiguationWeights = DEFAULT_WEIGHTS) -> list[Annotation]:
     """Map text to concept annotations, leftmost-longest, non-overlapping.
 
     At each word token the longest multiword match wins over single-word
     matches; symbol and emoji tokens are matched by glyph equality; numbers,
     punctuation and spaces are never annotated.
     """
-    state = _state(store)
     tokens = tokenize(text)
     annotations: list[Annotation] = []
     cache: dict[str, set[str]] = {}
@@ -346,7 +338,7 @@ def _base_score(level: MatchLevel, weights: DisambiguationWeights) -> float:
 
 def disambiguate(
     annotations: list[Annotation],
-    store: StoreLike,
+    state: StoreState,
     weights: DisambiguationWeights = DEFAULT_WEIGHTS,
 ) -> list[Annotation]:
     """Score candidates and pick one concept per annotation.
@@ -357,7 +349,6 @@ def disambiguate(
     candidate under the same top-level taxonomy branch.  Ties break towards
     the deeper taxonomy path, then canonical key order.  Idempotent.
     """
-    state = _state(store)
     top_segments: list[set[str]] = []
     for ann in annotations:
         segments = set()

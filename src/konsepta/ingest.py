@@ -20,10 +20,8 @@ from .core import (
     Concept,
     ConceptKind,
     Gender,
-    KeyFormatError,
     KonseptaError,
     PartOfSpeech,
-    RelationRegistry,
     RelationType,
     UnknownConceptError,
     UnknownRelationTypeError,
@@ -31,7 +29,6 @@ from .core import (
     WordForm,
     nfc,
     parse_concept_key,
-    validate_concept,
 )
 
 SCHEMA_VERSION = "konsepta/v1"
@@ -92,9 +89,6 @@ class DatasetBundle:
                     raise BundleFormatError(f"cannot read {path}: {exc}") from exc
         return cls.from_texts(texts)
 
-    def total(self) -> int:
-        return sum(len(v) for v in self.records.values())
-
 
 def _parse_lines(kind: str, text: str) -> list[RawRecord]:
     lines = text.splitlines()
@@ -149,7 +143,13 @@ class IngestReport:
     rejections: list[Rejection] = field(default_factory=list)
 
     def _tally(self, kind: str, disposition: str) -> None:
-        setattr(self.counts[kind], disposition, getattr(self.counts[kind], disposition) + 1)
+        counts = self.counts[kind]
+        if disposition == "inserted":
+            counts.inserted += 1
+        elif disposition == "updated":
+            counts.updated += 1
+        else:
+            counts.unchanged += 1
 
     def _reject(self, kind: str, line: int, rule: str, detail: str = "") -> None:
         self.counts[kind].rejected += 1
@@ -274,29 +274,6 @@ def decode_relation_type(fields: tuple[str, ...]) -> RelationType:
     return RelationType(name=fields[0], symmetric=fields[1] == "1", inverse=inverse)
 
 
-def validate_record(kind: str, fields: tuple[str, ...]) -> list[str]:
-    """Pure structural validation of a single record; diagnostics as values."""
-    if kind not in PHASES:
-        return [f"unknown record kind: {kind}"]
-    if len(fields) != _FIELD_COUNTS[kind]:
-        return [f"expected {_FIELD_COUNTS[kind]} fields, got {len(fields)}"]
-    try:
-        if kind == "concepts":
-            return validate_concept(decode_concept(fields))
-        if kind == "forms":
-            decode_form(fields)
-        elif kind == "relation_types":
-            decode_relation_type(fields)
-        elif kind == "taxonomy":
-            parse_concept_key(fields[0] + "/x")  # segments only, reuse key checks
-        elif kind == "relations":
-            parse_concept_key(fields[0])
-            parse_concept_key(fields[1])
-    except (ValidationError, KeyFormatError) as exc:
-        return [str(exc)]
-    return []
-
-
 # --- loading ---------------------------------------------------------------
 
 def load_dataset(bundle: DatasetBundle, store) -> IngestReport:
@@ -307,29 +284,68 @@ def load_dataset(bundle: DatasetBundle, store) -> IngestReport:
     every record as unchanged.
     """
     report = IngestReport()
+    records = bundle.records
     with store.write() as state:
-        _load_relation_types(bundle.records["relation_types"], state, report)
-        _load_taxonomy(bundle.records["taxonomy"], state, report)
-        _load_simple(bundle.records["concepts"], "concepts", state.upsert_concept, decode_concept, report)
-        _load_simple(bundle.records["forms"], "forms", state.upsert_form, decode_form, report)
-        _load_relations(bundle.records["relations"], state, report)
+        _load_relation_types(records["relation_types"], state, report)
+        # Parents first, so in-file order never matters; file order breaks ties.
+        taxonomy = sorted(records["taxonomy"], key=lambda rec: rec.fields[0].count("/"))
+        _load(taxonomy, "taxonomy", report, lambda rec: (
+            "inserted" if state.taxonomy.register(rec.fields[0].split("/")) else "unchanged"))
+        _load(records["concepts"], "concepts", report,
+              lambda rec: state.upsert_concept(decode_concept(rec.fields)))
+        _load(records["forms"], "forms", report, lambda rec: state.upsert_form(decode_form(rec.fields)))
+        _load(records["relations"], "relations", report, lambda rec: _upsert_relation(state, *rec.fields))
     return report
+
+
+def _load(records: list[RawRecord], kind: str, report: IngestReport, apply) -> None:
+    """Check each record's field count, then decode and upsert it in one go.
+
+    ``apply`` returns the record's disposition, or None when the caller
+    tallies it later.  A record that fails is rejected with its rule.
+    """
+    width = _FIELD_COUNTS[kind]
+    for rec in records:
+        if len(rec.fields) != width:
+            report._reject(kind, rec.line, f"expected {width} fields, got {len(rec.fields)}")
+            continue
+        try:
+            disposition = apply(rec)
+        except UnknownConceptError as exc:
+            report._reject(kind, rec.line, "unknown endpoint", str(exc))
+        except UnknownRelationTypeError as exc:
+            report._reject(kind, rec.line, "unknown relation type", str(exc))
+        except ValidationError as exc:
+            # A concept is rejected for its first invariant problem only.
+            report._reject(kind, rec.line, exc.problems[0] if kind == "concepts" else str(exc))
+        except KonseptaError as exc:
+            report._reject(kind, rec.line, str(exc))
+        else:
+            if disposition is not None:
+                report._tally(kind, disposition)
+
+
+def _upsert_relation(state, source: str, target: str, type_name: str) -> str:
+    # A stored key is well formed, so only endpoints that do not resolve are
+    # parsed; a malformed one is reported before an unknown type.
+    for endpoint in (source, target):
+        if endpoint not in state.concepts:
+            parse_concept_key(endpoint)
+    return state.upsert_relation(source, target, type_name)
 
 
 def _load_relation_types(records, state, report) -> None:
     trial = state.registry.clone()
     accepted: list[tuple[RawRecord, RelationType]] = []
-    for rec in records:
-        problems = validate_record("relation_types", rec.fields)
-        if problems:
-            report._reject("relation_types", rec.line, problems[0])
-            continue
+
+    def stage(rec: RawRecord) -> None:
         rt = decode_relation_type(rec.fields)
         if state.relation_count_for(rt.name) and state.registry.get(rt.name) != rt:
-            report._reject("relation_types", rec.line, f"type in use by stored edges: {rt.name}")
-            continue
+            raise KonseptaError(f"type in use by stored edges: {rt.name}")
         trial.upsert(rt)
         accepted.append((rec, rt))
+
+    _load(records, "relation_types", report, stage)
     # Involution must hold over the final registry; drop offenders until the
     # remainder is consistent (removing one type can orphan its partner).
     dropped: dict[str, str] = {}
@@ -346,60 +362,6 @@ def _load_relation_types(records, state, report) -> None:
             report._reject("relation_types", rec.line, dropped[rt.name])
         else:
             report._tally("relation_types", state.registry.upsert(rt))
-
-
-def _load_taxonomy(records, state, report) -> None:
-    # Parents first, so in-file order never matters; file order breaks ties.
-    def depth(rec: RawRecord) -> int:
-        return rec.fields[0].count("/")
-
-    for rec in sorted(records, key=depth):
-        problems = validate_record("taxonomy", rec.fields)
-        if problems:
-            report._reject("taxonomy", rec.line, problems[0])
-            continue
-        path = tuple(rec.fields[0].split("/"))
-        try:
-            created = state.taxonomy.register(path)
-        except KonseptaError as exc:
-            report._reject("taxonomy", rec.line, str(exc))
-            continue
-        report._tally("taxonomy", "inserted" if created else "unchanged")
-
-
-def _load_simple(records, kind, upsert, decode, report) -> None:
-    for rec in records:
-        problems = validate_record(kind, rec.fields)
-        if problems:
-            report._reject(kind, rec.line, problems[0])
-            continue
-        try:
-            disposition = upsert(decode(rec.fields))
-        except KonseptaError as exc:
-            report._reject(kind, rec.line, str(exc))
-            continue
-        report._tally(kind, disposition)
-
-
-def _load_relations(records, state, report) -> None:
-    for rec in records:
-        problems = validate_record("relations", rec.fields)
-        if problems:
-            report._reject("relations", rec.line, problems[0])
-            continue
-        source, target, type_name = rec.fields
-        try:
-            disposition = state.upsert_relation(source, target, type_name)
-        except UnknownConceptError as exc:
-            report._reject("relations", rec.line, "unknown endpoint", str(exc))
-            continue
-        except UnknownRelationTypeError as exc:
-            report._reject("relations", rec.line, "unknown relation type", str(exc))
-            continue
-        except KonseptaError as exc:
-            report._reject("relations", rec.line, str(exc))
-            continue
-        report._tally("relations", disposition)
 
 
 # --- export ----------------------------------------------------------------
@@ -472,22 +434,6 @@ def write_bundle(directory: str | Path, texts: dict[str, str]) -> None:
 
 # --- packaged data ---------------------------------------------------------
 
-def default_registry_path() -> Path:
-    return Path(str(importlib.resources.files("konsepta") / "data" / "relation_types.tsv"))
-
-
 def fixture_dir() -> Path:
     """Directory of the sample dataset shipped with the package."""
     return Path(str(importlib.resources.files("konsepta") / "data" / "fixture"))
-
-
-def load_default_registry() -> RelationRegistry:
-    """The relation-type registry shipped as data with the engine."""
-    text = default_registry_path().read_text(encoding="utf-8")
-    registry = RelationRegistry()
-    for rec in _parse_lines("relation_types", text):
-        registry.upsert(decode_relation_type(rec.fields))
-    problems = registry.pairing_problems()
-    if problems:
-        raise BundleFormatError(f"default registry inconsistent: {problems}")
-    return registry

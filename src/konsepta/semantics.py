@@ -13,9 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import KonseptaError, RelationEdge, ValidationError
-from .store import StoreState, Store
-
-StoreLike = Store | StoreState
+from .store import StoreState
 
 
 class NoPathError(KonseptaError, LookupError):
@@ -50,15 +48,11 @@ class SemanticNetwork:
         }
 
 
-def _state(store: StoreLike) -> StoreState:
-    return store.snapshot() if isinstance(store, Store) else store
-
-
 def _path_sort_key(path: LabeledPath):
     return (len(path), tuple(h.label for h in path), tuple(h.key for h in path))
 
 
-def path_relations(store: StoreLike, a: str, b: str, max_len: int = 3) -> list[LabeledPath]:
+def path_relations(state: StoreState, a: str, b: str, max_len: int = 3) -> list[LabeledPath]:
     """All simple as-read label paths from ``a`` to ``b`` of bounded length.
 
     Sorted by length, then label sequence, then hop keys.  ``a == b`` gives
@@ -66,7 +60,6 @@ def path_relations(store: StoreLike, a: str, b: str, max_len: int = 3) -> list[L
     """
     if max_len not in (1, 2, 3):
         raise ValidationError([f"max_len must be 1..3, got {max_len}"])
-    state = _state(store)
     start = state.require(a).key.canonical
     goal = state.require(b).key.canonical
     found: list[LabeledPath] = []
@@ -88,10 +81,9 @@ def path_relations(store: StoreLike, a: str, b: str, max_len: int = 3) -> list[L
 
 
 def transitive_closure(
-    store: StoreLike, key: str, type_name: str, max_depth: int
+    state: StoreState, key: str, type_name: str, max_depth: int
 ) -> list[tuple[str, int]]:
     """BFS over edges of a single as-read type; nodes at their minimum depth."""
-    state = _state(store)
     start = state.require(key).key.canonical
     state.registry.get(type_name)
     if max_depth < 0:
@@ -113,7 +105,7 @@ def transitive_closure(
 
 
 def semantic_network(
-    store: StoreLike,
+    state: StoreState,
     seeds: list[str],
     depth: int,
     type_filter: set[str] | None = None,
@@ -124,7 +116,6 @@ def semantic_network(
     a directional edge whose forward name is filtered out but whose inverse
     passes is emitted reversed under the inverse name.
     """
-    state = _state(store)
     if depth < 0:
         raise ValidationError([f"depth must be >= 0, got {depth}"])
     if type_filter is not None:
@@ -182,7 +173,7 @@ def to_dot(network: SemanticNetwork) -> str:
 
 
 def solve_analogy(
-    store: StoreLike,
+    state: StoreState,
     a1: str,
     b1: str,
     a2: str,
@@ -203,7 +194,6 @@ def solve_analogy(
         raise ValidationError([f"max_len must be 1 or 2, got {max_len}"])
     if k < 1:
         raise ValidationError([f"k must be >= 1, got {k}"])
-    state = _state(store)
     start = state.require(a2).key.canonical
     key_a1 = state.require(a1).key.canonical
     key_b1 = state.require(b1).key.canonical

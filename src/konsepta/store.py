@@ -393,11 +393,9 @@ class StoreState:
 class Store:
     """Thread-safe handle: snapshot reads, serialized transactional writes."""
 
-    def __init__(self, state: StoreState | None = None) -> None:
-        if state is None:
-            state = StoreState()
-            state.freeze()
-        self._state = state
+    def __init__(self) -> None:
+        self._state = StoreState()
+        self._state.freeze()
         self._write_lock = threading.Lock()
 
     def snapshot(self) -> StoreState:
@@ -436,26 +434,3 @@ class Store:
     def register_category(self, path) -> bool:
         with self.write() as state:
             return state.taxonomy.register(path)
-
-    # Read delegation to the current snapshot.
-
-    def get(self, key):
-        return self._state.get(key)
-
-    def find_by_lemma(self, lemma, flt: LookupFilter = EMPTY_FILTER):
-        return self._state.find_by_lemma(lemma, flt)
-
-    def find_by_form(self, surface, flt: LookupFilter = EMPTY_FILTER):
-        return self._state.find_by_form(surface, flt)
-
-    def neighbors(self, key, type_name=None, direction=BOTH):
-        return self._state.neighbors(key, type_name, direction)
-
-    def concepts_in_category(self, path, recursive: bool = False):
-        return self._state.concepts_in_category(path, recursive)
-
-    def mwe_index_entries(self, first_token_lemma: str):
-        return self._state.mwe_index_entries(first_token_lemma)
-
-    def stats(self) -> StoreStats:
-        return self._state.stats()

@@ -217,7 +217,7 @@ def test_c07_relation_semantics(snap, raw, fresh_store):
 
 def test_c08_stats_audit(fresh_store, report):
     with criterion(8, "stats audit"):
-        stats = fresh_store.stats()
+        stats = fresh_store.snapshot().stats()
         assert stats.concepts == report.counts["concepts"].inserted
         assert stats.categories == report.counts["taxonomy"].inserted
         assert stats.relations == report.counts["relations"].inserted
@@ -246,7 +246,7 @@ def test_c08_stats_audit(fresh_store, report):
             else:
                 continue
             ops += 1
-            got = fresh_store.stats().to_payload()
+            got = fresh_store.snapshot().stats().to_payload()
             scan = oracles.stats_by_scan(fresh_store.snapshot())
             scan = {
                 key: (dict(sorted(value.items())) if isinstance(value, dict) else value)

@@ -1,11 +1,15 @@
+import hmac
+import http.client
 import json
+import logging
 import threading
+import time
 import urllib.parse
 import urllib.request
 
 import pytest
 
-from konsepta import extract, solve_analogy
+from konsepta import api, extract, solve_analogy
 from konsepta.api import ApiConfig, dispatch, make_server, serialize_body
 from konsepta.ingest import SCHEMA_VERSION
 
@@ -222,6 +226,28 @@ class TestAdminIngest:
         assert payload["report"]["counts"]["taxonomy"]["inserted"] == 1
         assert ("vesmír",) in fresh_store.snapshot().taxonomy
 
+    @pytest.mark.parametrize("token, status", [("zlodej", 403), ("sézam", 403), ("sezam", 200)])
+    def test_token_compared_in_constant_time(self, fresh_store, monkeypatch, token, status):
+        compared = []
+        real = hmac.compare_digest
+
+        def compare_digest(a, b):
+            compared.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(api.hmac, "compare_digest", compare_digest)
+        headers = {"Authorization": f"Bearer {token}"}
+        got, payload = dispatch(fresh_store, "POST", "/v1/admin/ingest", self._body(), self.CONFIG, headers)
+        assert got == status
+        assert compared == [(token.encode("utf-8"), b"sezam")]
+        if status == 403:
+            assert payload["error"] == {"code": "bad_request", "message": "invalid admin token"}
+
+    def test_non_ascii_token_loads(self, fresh_store):
+        headers = {"Authorization": "Bearer sézam"}
+        config = ApiConfig(admin_token="sézam")
+        assert dispatch(fresh_store, "POST", "/v1/admin/ingest", self._body(), config, headers)[0] == 200
+
     def test_rejections_are_data_not_transport_errors(self, fresh_store):
         headers = {"Authorization": "Bearer sezam"}
         text = f"{SCHEMA_VERSION}\ttaxonomy\nvesmír/hviezda\n"
@@ -275,7 +301,7 @@ class TestTransportTransparency:
 
     def test_search_payload_equals_library(self, store):
         _, payload = get(store, "/v1/search?lemma=" + q("hruška"))
-        direct = store.find_by_lemma("hruška")
+        direct = store.snapshot().find_by_lemma("hruška")
         assert [r["key"] for r in payload["results"]] == [c.key.canonical for c in direct]
 
     def test_snapshot_bound_per_request(self, fresh_store):
@@ -300,7 +326,9 @@ class TestLiveServer:
         return f"http://{host}:{port}{target}"
 
     def test_get_concept_over_http(self, server, store, caplog):
-        import logging
+        def logged():
+            access = [r.getMessage() for r in caplog.records if r.name == "konsepta.api"]
+            return any(m.startswith("GET /v1/concepts/") and " 200 " in m and m.endswith("ms") for m in access)
 
         url = self._url(server, f"/v1/concepts/{q(TREE)}")
         with caplog.at_level(logging.INFO, logger="konsepta.api"):
@@ -308,6 +336,10 @@ class TestLiveServer:
                 assert response.status == 200
                 assert response.headers["Content-Type"].startswith("application/json")
                 body = response.read()
+            # The handler thread logs after it has written the body.
+            deadline = time.monotonic() + 5.0
+            while not logged() and time.monotonic() < deadline:
+                time.sleep(0.01)
         status, payload = get(store, f"/v1/concepts/{q(TREE)}")
         assert body == serialize_body(payload)
         # one structured log line per request: method, path, status, duration
@@ -337,3 +369,22 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request)
         assert info.value.code == 401
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_bad_content_length_400(self, server, length):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.putrequest("POST", "/v1/extract")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert response.headers["Connection"] == "close"
+        assert payload == {
+            "schema": "konsepta/v1",
+            "error": {"code": "bad_request", "message": f"invalid Content-Length: {length!r}"},
+        }

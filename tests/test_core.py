@@ -15,7 +15,6 @@ from konsepta.core import (
     format_concept_key,
     parse_concept_key,
 )
-from konsepta.ingest import load_default_registry
 
 # Slovak letters plus ASCII; slash and control characters excluded by design.
 _component_alphabet = "aáäbcčdďeéfghiíjklĺľmnňoóôpqrŕsštťuúvwxyýzž AŠŽ0123456789-"
@@ -133,26 +132,26 @@ class TestTaxonomy:
 
 
 class TestRelationRegistry:
-    def test_symmetric_reads_as_itself(self):
-        registry = load_default_registry()
+    def test_symmetric_reads_as_itself(self, snap):
+        registry = snap.registry
         assert registry.inverse_of("synonym") == "synonym"
         assert registry.inverse_of("antonym") == "antonym"
 
-    def test_diminutive_pairs_with_augmentative(self):
-        registry = load_default_registry()
+    def test_diminutive_pairs_with_augmentative(self, snap):
+        registry = snap.registry
         assert registry.inverse_of("diminutive") == "augmentative"
         assert registry.inverse_of("augmentative") == "diminutive"
 
-    def test_involution_over_full_registry(self):
-        registry = load_default_registry()
+    def test_involution_over_full_registry(self, snap):
+        registry = snap.registry
         assert registry.pairing_problems() == {}
         for name in registry.names():
             rt = registry.get(name)
             if rt.symmetric or rt.inverse is not None:
                 assert registry.inverse_of(registry.inverse_of(name)) == name
 
-    def test_ships_at_least_twenty_types(self):
-        registry = load_default_registry()
+    def test_ships_at_least_twenty_types(self, snap):
+        registry = snap.registry
         assert len(registry) >= 20
         for required in ("synonym", "antonym", "hypernym", "hyponym", "diminutive", "augmentative"):
             assert required in registry
@@ -181,11 +180,11 @@ class TestRelationRegistry:
         problems = registry.pairing_problems()
         assert "a-rel" in problems
 
-    def test_fixture_registry_matches_default(self, fixture_texts):
-        shipped = (load_default_registry(), )
+    def test_fixture_registry_matches_default(self, fixture_texts, snap):
+        # every type the fixture file declares survives the load
         fixture_names = {
             line.split("\t")[0]
             for line in fixture_texts["relation_types"].splitlines()[1:]
             if line
         }
-        assert fixture_names == set(shipped[0].names())
+        assert fixture_names == set(snap.registry.names())

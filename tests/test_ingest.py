@@ -4,7 +4,6 @@ from konsepta import DatasetBundle, Store, export_dataset, load_dataset
 from konsepta.ingest import (
     SCHEMA_VERSION,
     BundleFormatError,
-    validate_record,
     write_bundle,
 )
 
@@ -26,6 +25,14 @@ MINI = dict(
     forms=["kladiva\tkladivo\tnoun\tn\tsg.gen"],
     relations=["vec/kladivo\tvec/nástroj/píla\tsynonym"],
 )
+
+
+def _rules(kind: str, fields: tuple[str, ...]) -> list[str]:
+    """Rejection rules of one record loaded over the MINI registry."""
+    bundle = _bundle(
+        relation_types=MINI["relation_types"], taxonomy=["vec", "a"], **{kind: ["\t".join(fields)]}
+    )
+    return [r.rule for r in load_dataset(bundle, Store()).rejections]
 
 
 class TestFixtureLoad:
@@ -71,37 +78,37 @@ class TestFixtureLoad:
 class TestValidation:
     def test_translation_code_outside_allowed_set(self):
         fields = ("vec/slovo", "word", "noun", "n", "-", "ru:слово")
-        problems = validate_record("concepts", fields)
+        problems = _rules("concepts", fields)
         assert any("language code not in allowed set" in p for p in problems)
 
     def test_emoticon_without_glyph(self):
         fields = ("vec/slovo", "emoticon", "noun", "n", "-", "-")
-        problems = validate_record("concepts", fields)
+        problems = _rules("concepts", fields)
         assert any("glyph required" in p for p in problems)
 
     def test_well_formed_noun_passes(self):
         fields = ("vec/slovo", "word", "noun", "n", "-", "en:word")
-        assert validate_record("concepts", fields) == []
+        assert _rules("concepts", fields) == []
 
     def test_glyph_on_plain_word(self):
         fields = ("vec/slovo", "word", "noun", "n", "+", "-")
-        problems = validate_record("concepts", fields)
+        problems = _rules("concepts", fields)
         assert any("glyph not allowed" in p for p in problems)
 
     def test_mwe_kind_must_match_spaced_lemma(self):
         spaced = ("vec/dve slová", "word", "noun", "n", "-", "-")
-        assert any("kind must be mwe" in p for p in validate_record("concepts", spaced))
+        assert any("kind must be mwe" in p for p in _rules("concepts", spaced))
         unspaced = ("vec/slovo", "mwe", "noun", "n", "-", "-")
-        assert any("requires a spaced lemma" in p for p in validate_record("concepts", unspaced))
+        assert any("requires a spaced lemma" in p for p in _rules("concepts", unspaced))
 
     def test_field_arity(self):
-        assert validate_record("concepts", ("a/b", "word")) != []
-        assert validate_record("relations", ("a/b",)) != []
+        assert _rules("concepts", ("a/b", "word")) != []
+        assert _rules("relations", ("a/b",)) != []
 
     def test_unknown_enums(self):
-        assert validate_record("concepts", ("a/b", "word", "participle", "-", "-", "-")) != []
-        assert validate_record("concepts", ("a/b", "word", "noun", "x", "-", "-")) != []
-        assert validate_record("forms", ("x", "y", "noun", "q", "-")) != []
+        assert _rules("concepts", ("a/b", "word", "participle", "-", "-", "-")) != []
+        assert _rules("concepts", ("a/b", "word", "noun", "x", "-", "-")) != []
+        assert _rules("forms", ("x", "y", "noun", "q", "-")) != []
 
     def test_unrepresentable_values_rejected(self):
         # values the tab-separated format cannot carry are invalid everywhere
@@ -138,9 +145,9 @@ class TestPartialFailure:
         report = load_dataset(bundle, store)
         assert report.counts["concepts"].inserted == 2
         assert report.counts["concepts"].rejected == 1
-        assert store.get("vec/kladivo") is not None
-        assert store.get("vec/nástroj/píla") is not None
-        assert store.get("vec/zlý") is None
+        assert store.snapshot().get("vec/kladivo") is not None
+        assert store.snapshot().get("vec/nástroj/píla") is not None
+        assert store.snapshot().get("vec/zlý") is None
 
     def test_relation_with_unknown_endpoint(self):
         bundle = _bundle(
@@ -207,6 +214,87 @@ class TestPartialFailure:
         assert report.counts["relation_types"].rejected == 1
 
 
+class TestIngestContract:
+    """Every kind's rejection rules, pinned literally: (kind, line, rule, detail)."""
+
+    BAD = dict(
+        relation_types=[
+            *MINI["relation_types"],
+            "meronym\t2\t-",
+            "Zlý Typ\t0\tINÝ",
+            "part-of\t0\tchýba",
+            "antonym\t1",
+        ],
+        taxonomy=[*MINI["taxonomy"], "vec//zlé", "vec/a\x01b", "vec\tnavyše"],
+        concepts=[
+            *MINI["concepts"],
+            "inde/plus\tsymbol\tnoun\tm\t-\tru:плюс",
+            "inde/slovo\tword\tnoun\tm\t-\t-",
+            "vec//x\tword\tnoun\tm\t-\t-",
+            "vec/slovo\tword\tparticiple\tm\t-\t-",
+            "vec/slovo\tword\tnoun",
+        ],
+        forms=[*MINI["forms"], "\t\tnoun\tm\t-", "x\ty\tnoun\tq\t-", "x\ty"],
+        relations=[
+            *MINI["relations"],
+            "vec//x\tvec/kladivo\tneznámy",
+            "vec/kladivo\tvec/nástroj//píla\tsynonym",
+            "vec/kladivo\tvec/nástroj/píla\tneznámy",
+            "vec/kladivo\tvec/neznámy\tsynonym",
+            "vec/kladivo\tvec/kladivo\tsynonym",
+            "vec/kladivo",
+        ],
+    )
+    EXPECTED = [
+        ("relation_types", 5, "symmetric flag must be 0 or 1: '2'", ""),
+        # every RelationType problem, joined
+        ("relation_types", 6, "relation type name must be lowercase, no whitespace: 'Zlý Typ'; "
+                              "inverse name must be lowercase, no whitespace: 'INÝ'", ""),
+        ("relation_types", 8, "expected 3 fields, got 2", ""),
+        # pairing rejections follow the per-record ones
+        ("relation_types", 7, "inverse type not registered: chýba", ""),
+        # taxonomy records apply parents first
+        ("taxonomy", 6, "expected 1 fields, got 2", ""),
+        ("taxonomy", 5, "category segment contains a control character: 'a\\x01b'", ""),
+        ("taxonomy", 4, "empty category segment", ""),
+        # a concept's first invariant problem only, before its category check
+        ("concepts", 4, "glyph required for kind symbol", ""),
+        ("concepts", 5, "unregistered category path: inde", ""),
+        ("concepts", 6, "empty category segment", ""),
+        ("concepts", 7, "unknown part of speech: 'participle'", ""),
+        ("concepts", 8, "expected 6 fields, got 3", ""),
+        # every WordForm problem, joined
+        ("forms", 3, "empty form surface; empty form lemma", ""),
+        ("forms", 4, "unknown gender: 'q'", ""),
+        ("forms", 5, "expected 5 fields, got 2", ""),
+        # a malformed endpoint wins over an unknown type
+        ("relations", 3, "empty category segment", ""),
+        ("relations", 4, "empty category segment", ""),
+        ("relations", 5, "unknown relation type", "neznámy"),
+        ("relations", 6, "unknown endpoint", "relation endpoint does not resolve: vec/neznámy"),
+        ("relations", 7, "relation endpoints must differ: vec/kladivo -synonym- vec/kladivo", ""),
+        ("relations", 8, "expected 3 fields, got 1", ""),
+    ]
+
+    def test_rejection_rules(self):
+        payload = load_dataset(_bundle(**self.BAD), Store()).to_payload()
+        got = [(r["kind"], r["line"], r["rule"], r["detail"]) for r in payload["rejections"]]
+        assert got == self.EXPECTED
+        accepted = {"relation_types": 3, "taxonomy": 2, "concepts": 2, "forms": 1, "relations": 1}
+        assert payload["counts"] == {
+            kind: {"inserted": n, "updated": 0, "unchanged": 0, "rejected": len(self.BAD[kind]) - n}
+            for kind, n in accepted.items()
+        }
+
+    def test_retyping_a_type_in_use(self):
+        store = Store()
+        load_dataset(_bundle(**MINI), store)
+        payload = load_dataset(_bundle(relation_types=["synonym\t0\t-"]), store).to_payload()
+        assert payload["rejections"] == [
+            {"kind": "relation_types", "line": 2, "rule": "type in use by stored edges: synonym", "detail": ""}
+        ]
+
+
 class TestHeaders:
     def test_unknown_version_rejected(self):
         with pytest.raises(BundleFormatError):
@@ -265,7 +353,7 @@ class TestExport:
         )
         store = Store()
         assert load_dataset(bundle, store).rejected == 0
-        concept = store.get("vec/hľa")
+        concept = store.snapshot().get("vec/hľa")
         assert concept.pos is PartOfSpeech.OTHER
         assert concept.pos_label == "citoslovce"
         texts = export_dataset(store.snapshot())

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from konsepta import DatasetBundle, Store, export_dataset, extract, load_dataset
 from konsepta.extract import lemma_candidates
-from konsepta.ingest import SCHEMA_VERSION, load_default_registry
+from konsepta.ingest import SCHEMA_VERSION, fixture_dir
 from konsepta.semantics import path_relations, semantic_network, to_dot, transitive_closure
 
-_REGISTRY_NAMES = load_default_registry().names()
+_FIXTURE = Store()
+load_dataset(DatasetBundle.read_dir(fixture_dir()), _FIXTURE)
+_REGISTRY = _FIXTURE.snapshot().registry
 
 _seg = st.text(alphabet="abcdeáčšž", min_size=1, max_size=5)
 
@@ -69,11 +71,11 @@ def bundle_texts(draw) -> dict[str, str]:
             target = draw(st.sampled_from(keys))
             if source == target:
                 continue
-            relation_lines.append(f"{source}\t{target}\t{draw(st.sampled_from(_REGISTRY_NAMES))}")
+            relation_lines.append(f"{source}\t{target}\t{draw(st.sampled_from(_REGISTRY.names()))}")
 
     registry_lines = [
         f"{rt.name}\t{1 if rt.symmetric else 0}\t{rt.inverse or '-'}"
-        for rt in load_default_registry().types()
+        for rt in _REGISTRY.types()
     ]
 
     def text(kind: str, lines: list[str]) -> str:

@@ -41,7 +41,7 @@ class TestGet:
         key = ConceptKey(("rastlina", "strom"), "baobab")
         concept = Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE)
         fresh_store.upsert_concept(concept)
-        assert fresh_store.get("rastlina/strom/baobab") == concept
+        assert fresh_store.snapshot().get("rastlina/strom/baobab") == concept
 
 
 class TestFindByLemma:
@@ -69,11 +69,11 @@ class TestFindByLemma:
         lower = Concept(ConceptKey(("vlastnosť",), "viera"), ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.FEMININE)
         fresh_store.upsert_concept(upper)
         fresh_store.upsert_concept(lower)
-        assert [c.key.canonical for c in fresh_store.find_by_lemma("viera")] == [
+        assert [c.key.canonical for c in fresh_store.snapshot().find_by_lemma("viera")] == [
             "vlastnosť/viera",
             "meno/Viera",
         ]
-        assert [c.key.canonical for c in fresh_store.find_by_lemma("Viera")] == [
+        assert [c.key.canonical for c in fresh_store.snapshot().find_by_lemma("Viera")] == [
             "meno/Viera",
             "vlastnosť/viera",
         ]
@@ -342,7 +342,7 @@ class TestStats:
         assert stats.relations == report.counts["relations"].inserted
 
     def test_empty_store_all_zero(self):
-        stats = Store().stats()
+        stats = Store().snapshot().stats()
         assert stats.concepts == stats.categories == stats.relations == 0
         assert stats.by_pos == stats.by_kind == stats.by_relation_type == {}
 
@@ -376,7 +376,7 @@ class TestStats:
                 fresh_store.remove_relation(edge.source, edge.target, edge.type)
             elif action == "drop_concept" and spare_keys:
                 fresh_store.remove_concept(spare_keys.pop())
-            got = fresh_store.stats().to_payload()
+            got = fresh_store.snapshot().stats().to_payload()
             expected = oracles.stats_by_scan(fresh_store.snapshot())
             expected = {k: (dict(sorted(v.items())) if isinstance(v, dict) else v) for k, v in expected.items()}
             assert got == expected, f"diverged at step {step} after {action}"
