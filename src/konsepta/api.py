@@ -22,15 +22,12 @@ from . import semantics
 from .core import (
     ConceptKind,
     Gender,
-    KeyFormatError,
     KonseptaError,
-    MissingInverseError,
     PartOfSpeech,
     UnknownCategoryError,
     UnknownConceptError,
     UnknownEdgeError,
     UnknownRelationTypeError,
-    ValidationError,
     form_matches_concept,
     parse_concept_key,
 )
@@ -85,8 +82,6 @@ def dispatch(store: Store, method: str, target: str, body: bytes | None = None,
     except (UnknownConceptError, UnknownCategoryError, UnknownRelationTypeError,
             UnknownEdgeError, semantics.NoPathError) as exc:
         return 404, _error_payload("not_found", str(exc))
-    except (KeyFormatError, ValidationError, MissingInverseError) as exc:
-        return 400, _error_payload("bad_request", str(exc))
     except KonseptaError as exc:
         return 400, _error_payload("bad_request", str(exc))
     except Exception:  # noqa: BLE001 - transport boundary
@@ -141,7 +136,7 @@ def _route(store: Store, method: str, target: str, body: bytes | None,
 
 def _need_method(method: str, expected: str) -> None:
     if method != expected:
-        raise _HttpError(405, "bad_request", f"method {method} not allowed, use {expected}")
+        raise _HttpError(405, "method_not_allowed", f"method {method} not allowed, use {expected}")
 
 
 def _parse_query(query_string: str) -> dict[str, list[str]]:
@@ -347,13 +342,13 @@ def _extract_view(state: StoreState, body: bytes | None, config: ApiConfig) -> d
 def _check_admin(auth_header: str | None, config: ApiConfig) -> None:
     """Bearer-token gate: 401 without credentials, 403 with bad ones."""
     if auth_header is None:
-        raise _HttpError(401, "bad_request", "missing bearer token")
+        raise _HttpError(401, "unauthorized", "missing bearer token")
     parts = auth_header.split(None, 1)
     if len(parts) != 2 or parts[0].lower() != "bearer":
-        raise _HttpError(401, "bad_request", "authorization must be 'Bearer <token>'")
+        raise _HttpError(401, "unauthorized", "authorization must be 'Bearer <token>'")
     if not config.admin_token or not hmac.compare_digest(
             parts[1].encode("utf-8"), config.admin_token.encode("utf-8")):
-        raise _HttpError(403, "bad_request", "invalid admin token")
+        raise _HttpError(403, "forbidden", "invalid admin token")
 
 
 def _admin_ingest(store: Store, body: bytes | None, config: ApiConfig) -> dict:

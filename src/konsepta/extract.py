@@ -187,14 +187,6 @@ def _single_word_derivations(state: StoreState, token_text: str) -> list[Derivat
     return derivations
 
 
-def _mwe_token_lemmas(state: StoreState, token_text: str) -> set[str]:
-    """Folded lemma readings a token can stand for inside a multiword match."""
-    names = {fold(token_text)}
-    for lemma, _pos, _gender in lemma_candidates(token_text, state):
-        names.add(fold(lemma))
-    return names
-
-
 def _position_matches(state: StoreState, text_token: str, mwe_token: str, cache: dict) -> tuple[bool, bool]:
     """(matches, at_surface_level) for one multiword position.
 
@@ -204,10 +196,9 @@ def _position_matches(state: StoreState, text_token: str, mwe_token: str, cache:
     """
     if fold(text_token) == fold(mwe_token):
         return True, True
-    if text_token not in cache:
-        cache[text_token] = _mwe_token_lemmas(state, text_token)
-    if mwe_token not in cache:
-        cache[mwe_token] = _mwe_token_lemmas(state, mwe_token)
+    for token in (text_token, mwe_token):
+        if token not in cache:
+            cache[token] = state.token_readings(token)
     return bool(cache[text_token] & cache[mwe_token]), False
 
 
@@ -235,19 +226,11 @@ def _mwe_match_at(state: StoreState, tokens: list[Token], start_idx: int, cache:
     """Longest multiword match starting at a word token.
 
     Returns ``(last_token_index, derivations)`` or ``None``.  Entries are
-    found through the first-token index, probed with the surface token and
-    each of its lemma readings.
+    found through the first-token index, probed with each reading of the
+    surface token.
     """
-    first = tokens[start_idx].text
-    entries: dict[str, tuple[str, ...]] = {}
-    probes = {first} | {lemma for lemma, _p, _g in lemma_candidates(first, state)}
-    for probe in probes:
-        for mwe_tokens, key in state.mwe_index_entries(probe):
-            entries[key] = mwe_tokens
-    if not entries:
-        return None
     by_length: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
-    for key, mwe_tokens in entries.items():
+    for mwe_tokens, key in state.mwe_index_entries(tokens[start_idx].text):
         by_length.setdefault(len(mwe_tokens), []).append((key, mwe_tokens))
     for length in sorted(by_length, reverse=True):
         window = _collect_window(tokens, start_idx, length)

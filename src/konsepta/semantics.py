@@ -80,6 +80,30 @@ def path_relations(state: StoreState, a: str, b: str, max_len: int = 3) -> list[
     return sorted(found, key=_path_sort_key)
 
 
+def _layers(state: StoreState, seeds: list[str], max_depth: int, follow) -> dict[str, int]:
+    """BFS from ``seeds`` over as-read labels that ``follow`` accepts.
+
+    Maps every node reached within ``max_depth`` hops, seeds included, to
+    its minimum depth.
+    """
+    depths = dict.fromkeys(seeds, 0)
+    frontier = deque(depths)
+    while frontier:
+        node = frontier.popleft()
+        depth = depths[node]
+        if depth == max_depth:
+            continue
+        for label, neighbor in state.as_read_neighbors(node):
+            if follow(label) and neighbor not in depths:
+                depths[neighbor] = depth + 1
+                frontier.append(neighbor)
+    return depths
+
+
+def _by_depth(depths: dict[str, int]) -> list[tuple[str, int]]:
+    return sorted(depths.items(), key=lambda item: (item[1], item[0]))
+
+
 def transitive_closure(
     state: StoreState, key: str, type_name: str, max_depth: int
 ) -> list[tuple[str, int]]:
@@ -88,20 +112,9 @@ def transitive_closure(
     state.registry.get(type_name)
     if max_depth < 0:
         raise ValidationError([f"max_depth must be >= 0, got {max_depth}"])
-    depths: dict[str, int] = {}
-    frontier = deque([(start, 0)])
-    seen = {start}
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == max_depth:
-            continue
-        for label, neighbor in state.as_read_neighbors(node):
-            if label != type_name or neighbor in seen:
-                continue
-            seen.add(neighbor)
-            depths[neighbor] = depth + 1
-            frontier.append((neighbor, depth + 1))
-    return sorted(depths.items(), key=lambda item: (item[1], item[0]))
+    depths = _layers(state, [start], max_depth, lambda label: label == type_name)
+    del depths[start]
+    return _by_depth(depths)
 
 
 def semantic_network(
@@ -125,22 +138,7 @@ def semantic_network(
     def allowed(label: str) -> bool:
         return type_filter is None or label in type_filter
 
-    layer: dict[str, int] = {}
-    frontier = deque()
-    for seed in seeds:
-        canonical = state.require(seed).key.canonical
-        if canonical not in layer:
-            layer[canonical] = 0
-            frontier.append((canonical, 0))
-    while frontier:
-        node, d = frontier.popleft()
-        if d == depth:
-            continue
-        for label, neighbor in state.as_read_neighbors(node):
-            if not allowed(label) or neighbor in layer:
-                continue
-            layer[neighbor] = d + 1
-            frontier.append((neighbor, d + 1))
+    layer = _layers(state, [state.require(seed).key.canonical for seed in seeds], depth, allowed)
 
     edges: set[RelationEdge] = set()
     for edge in state.edges():
@@ -153,7 +151,7 @@ def semantic_network(
         if back is not None and back != edge.type and allowed(back):
             edges.add(RelationEdge(edge.target, edge.source, back))
 
-    nodes = tuple(sorted(layer.items(), key=lambda item: (item[1], item[0])))
+    nodes = tuple(_by_depth(layer))
     ordered_edges = tuple(sorted(edges, key=lambda e: (e.source, e.target, e.type)))
     return SemanticNetwork(nodes, ordered_edges)
 

@@ -123,9 +123,8 @@ class StoreState:
         self._by_pos: dict[str, int] = {}
         self._by_kind: dict[str, int] = {}
         self._by_type: dict[str, int] = {}
-        # Derived lookup tables built when a write transaction commits.
+        # Derived lookup table built when a write transaction commits.
         self._mwe_buckets: dict[str, tuple[str, ...]] = {}
-        self._as_read: dict[str, tuple[tuple[str, str], ...]] = {}
 
     # -- write-transaction plumbing -----------------------------------------
 
@@ -147,21 +146,13 @@ class StoreState:
         return fresh
 
     def freeze(self) -> None:
-        """Build the derived tables; called once when a transaction commits."""
+        """Build the multiword table; called once when a transaction commits."""
         buckets: dict[str, set[str]] = {}
         for key, concept in self.concepts.items():
-            if concept.kind is not ConceptKind.MULTIWORD:
-                continue
-            first = concept.key.lemma.split()[0]
-            names = {fold(first)}
-            for form_key in self._form_index.get(fold(first), ()):
-                names.add(fold(self.forms[form_key].lemma))
-            for name in names:
-                buckets.setdefault(name, set()).add(key)
+            if concept.kind is ConceptKind.MULTIWORD:
+                for name in self.token_readings(concept.key.lemma.split()[0]):
+                    buckets.setdefault(name, set()).add(key)
         self._mwe_buckets = {name: tuple(sorted(keys)) for name, keys in buckets.items()}
-        self._as_read = {
-            key: tuple(sorted(self._readings(key, BOTH, None))) for key in self.concepts
-        }
 
     # -- mutators -------------------------------------------------------------
 
@@ -278,6 +269,11 @@ class StoreState:
         keys = self._form_index.get(fold(nfc(surface)), ())
         return [self.forms[k] for k in sorted(keys)]
 
+    def token_readings(self, token: str) -> set[str]:
+        """Folded lemmas a token can stand for: itself and its forms' lemmas."""
+        folded = fold(token)
+        return {folded} | {fold(self.forms[k].lemma) for k in self._form_index.get(folded, ())}
+
     def find_by_form(
         self, surface: str, flt: LookupFilter = EMPTY_FILTER
     ) -> list[tuple[WordForm, list[Concept]]]:
@@ -342,10 +338,7 @@ class StoreState:
         return sorted(self._readings(canonical, direction, type_name))
 
     def as_read_neighbors(self, key: str) -> tuple[tuple[str, str], ...]:
-        """Cached both-direction readings; the graph modules' workhorse."""
-        cached = self._as_read.get(key)
-        if cached is not None:
-            return cached
+        """Both-direction readings, sorted; the graph modules' workhorse."""
         return tuple(sorted(self._readings(key, BOTH, None)))
 
     def concepts_in_category(self, path, recursive: bool = False) -> list[str]:
@@ -359,15 +352,17 @@ class StoreState:
     def glyph_lookup(self, glyph: str) -> list[str]:
         return sorted(self._glyph_index.get(nfc(glyph), ()))
 
-    def mwe_index_entries(self, first_token_lemma: str) -> list[tuple[tuple[str, ...], str]]:
-        """Multiword concepts whose first token (or its lemma) matches.
+    def mwe_index_entries(self, token: str) -> list[tuple[tuple[str, ...], str]]:
+        """Multiword concepts whose first token shares a reading with ``token``.
 
-        Buckets are keyed both by the folded first token of each stored
-        multiword lemma and by every lemma that token maps to in the form
-        index, so inflected first positions still find their entries.
+        Buckets are named by every :meth:`token_readings` of each stored
+        first token and probed with every reading of ``token``, so inflected
+        first positions still find their entries.
         """
-        keys = self._mwe_buckets.get(fold(nfc(first_token_lemma)), ())
-        return [(tuple(self.concepts[k].key.lemma.split()), k) for k in keys]
+        keys: set[str] = set()
+        for name in self.token_readings(token):
+            keys.update(self._mwe_buckets.get(name, ()))
+        return [(tuple(self.concepts[k].key.lemma.split()), k) for k in sorted(keys)]
 
     def edges(self) -> list[RelationEdge]:
         return [self._edges[k] for k in sorted(self._edges)]
@@ -395,7 +390,6 @@ class Store:
 
     def __init__(self) -> None:
         self._state = StoreState()
-        self._state.freeze()
         self._write_lock = threading.Lock()
 
     def snapshot(self) -> StoreState:

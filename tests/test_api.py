@@ -172,7 +172,9 @@ class TestOtherReadEndpoints:
         assert get(store, "/v1/nonsense")[0] == 404
 
     def test_wrong_method(self, store):
-        assert dispatch(store, "POST", "/v1/stats")[0] == 405
+        status, payload = dispatch(store, "POST", "/v1/stats")
+        assert status == 405
+        assert payload["error"]["code"] == "method_not_allowed"
 
 
 class TestExtractEndpoint:
@@ -208,6 +210,7 @@ class TestAdminIngest:
     def test_missing_token_401(self, fresh_store):
         status, payload = dispatch(fresh_store, "POST", "/v1/admin/ingest", self._body(), self.CONFIG)
         assert status == 401
+        assert payload["error"]["code"] == "unauthorized"
 
     def test_wrong_token_403(self, fresh_store):
         headers = {"Authorization": "Bearer zlodej"}
@@ -241,7 +244,7 @@ class TestAdminIngest:
         assert got == status
         assert compared == [(token.encode("utf-8"), b"sezam")]
         if status == 403:
-            assert payload["error"] == {"code": "bad_request", "message": "invalid admin token"}
+            assert payload["error"] == {"code": "forbidden", "message": "invalid admin token"}
 
     def test_non_ascii_token_loads(self, fresh_store):
         headers = {"Authorization": "Bearer sézam"}

@@ -6,11 +6,14 @@ from konsepta import (
     Concept,
     ConceptKey,
     ConceptKind,
+    DatasetBundle,
     Gender,
     LookupFilter,
     PartOfSpeech,
     Store,
+    WordForm,
     export_dataset,
+    load_dataset,
 )
 from konsepta.core import (
     RelationType,
@@ -380,3 +383,96 @@ class TestStats:
             expected = oracles.stats_by_scan(fresh_store.snapshot())
             expected = {k: (dict(sorted(v.items())) if isinstance(v, dict) else v) for k, v in expected.items()}
             assert got == expected, f"diverged at step {step} after {action}"
+
+
+def _rebuilt(snap):
+    """A fresh store loaded from the snapshot's own export."""
+    store = Store()
+    report = load_dataset(DatasetBundle.from_texts(export_dataset(snap)), store)
+    assert report.rejected == 0, report.rejections
+    return store.snapshot()
+
+
+def _mwe_first_token_readings(raw: oracles.RawData) -> set[str]:
+    """Folded first tokens of stored multiword lemmas plus their form lemmas."""
+    firsts = {fold(c.lemma.split()[0]) for c in raw.concepts if c.kind == "mwe"}
+    readings = set(firsts)
+    for surface, lemma, _pos, _gender, _tags in raw.forms:
+        if fold(surface) in firsts:
+            readings.add(fold(lemma))
+    return readings
+
+
+class TestRebuildEquality:
+    """Indexes carried across write transactions equal a from-scratch load."""
+
+    FIRSTS = ("vysoká", "Vysoká", "nová", "stará")
+    SECONDS = ("škola", "hora", "cesta")
+    WORDS = ("hora", "cesta", "vysoký", "nový", "starý")
+    SURFACES = ("vysoká", "VYSOKÁ", "vysokej", "nová", "novej", "stará", "starej")
+    FORM_LEMMAS = ("vysoký", "nový", "starý", "hora")
+    GLYPHS = ("+", "∞", "★")
+    PATHS = (("veda", "škola"), ("miesto",), ("vlastnosť",), ("symbol",))
+
+    def _random_concept(self, rng: random.Random) -> Concept:
+        path = rng.choice(self.PATHS)
+        pos = rng.choice((None, PartOfSpeech.NOUN, PartOfSpeech.ADJECTIVE))
+        gender = rng.choice((Gender.UNSPECIFIED, Gender.FEMININE, Gender.MASCULINE))
+        kind = rng.choice((ConceptKind.WORD, ConceptKind.MULTIWORD, ConceptKind.MULTIWORD, ConceptKind.SYMBOL))
+        if kind is ConceptKind.MULTIWORD:
+            lemma = f"{rng.choice(self.FIRSTS)} {rng.choice(self.SECONDS)}"
+            return Concept(ConceptKey(path, lemma), kind, pos, gender=gender)
+        glyph = rng.choice(self.GLYPHS) if kind is ConceptKind.SYMBOL else ""
+        return Concept(ConceptKey(path, rng.choice(self.WORDS)), kind, pos, gender=gender, glyph=glyph)
+
+    def _random_form(self, rng: random.Random) -> WordForm:
+        return WordForm(
+            rng.choice(self.SURFACES),
+            rng.choice(self.FORM_LEMMAS),
+            rng.choice((None, PartOfSpeech.ADJECTIVE, PartOfSpeech.NOUN)),
+            rng.choice((Gender.UNSPECIFIED, Gender.FEMININE)),
+            rng.choice(("", "sg.nom")),
+        )
+
+    def _apply(self, state, rng: random.Random) -> None:
+        action = rng.choice(("concept", "concept", "drop_concept", "form", "form", "edge", "edge", "drop_edge"))
+        if action == "concept":
+            state.upsert_concept(self._random_concept(rng))
+        elif action == "drop_concept":
+            state.remove_concept(rng.choice(sorted(state.concepts)))
+        elif action == "form":
+            state.upsert_form(self._random_form(rng))
+        elif action == "edge":
+            a, b = rng.sample(sorted(state.concepts), 2)
+            state.upsert_relation(a, b, rng.choice(state.registry.names()))
+        elif state.edges():
+            edge = rng.choice(state.edges())
+            state.remove_relation(edge.source, edge.target, edge.type)
+
+    def _assert_equal_to_rebuild(self, snap, step: int) -> None:
+        fresh = _rebuilt(snap)
+        raw = oracles.parse_raw(export_dataset(snap))
+        adjacency = oracles.as_read_adjacency(raw)
+        where = f"step {step}"
+        assert sorted(snap.concepts) == sorted(fresh.concepts), where
+        for key in snap.concepts:
+            assert snap.as_read_neighbors(key) == fresh.as_read_neighbors(key), (where, key)
+            assert set(snap.as_read_neighbors(key)) == adjacency[key], (where, key)
+        for reading in _mwe_first_token_readings(raw) | {fold(f) for f in self.FIRSTS}:
+            assert snap.mwe_index_entries(reading) == fresh.mwe_index_entries(reading), (where, reading)
+        lemmas = {c.key.lemma for c in snap.concepts.values()} | set(self.WORDS) | set(self.FORM_LEMMAS)
+        for lemma in lemmas:
+            assert snap.find_by_lemma(lemma) == fresh.find_by_lemma(lemma), (where, lemma)
+        for surface in {f.surface for f in snap.forms.values()} | set(self.SURFACES):
+            assert snap.form_lookup(surface) == fresh.form_lookup(surface), (where, surface)
+        for glyph in self.GLYPHS:
+            assert snap.glyph_lookup(glyph) == fresh.glyph_lookup(glyph), (where, glyph)
+        assert snap.stats() == fresh.stats(), where
+
+    def test_random_transactions_match_rebuild(self, fresh_store):
+        rng = random.Random(5005)
+        for step in range(60):
+            with fresh_store.write() as state:
+                for _ in range(rng.randint(1, 4)):
+                    self._apply(state, rng)
+            self._assert_equal_to_rebuild(fresh_store.snapshot(), step)
