@@ -29,6 +29,7 @@ from .core import (
     UnknownEdgeError,
     UnknownRelationTypeError,
     form_matches_concept,
+    nfc,
     parse_concept_key,
 )
 from .extract import DEFAULT_WEIGHTS, DisambiguationWeights, extract
@@ -251,7 +252,7 @@ def _decode_filter(query) -> LookupFilter:
             raise _HttpError(400, "bad_request", f"unknown kind: {kind!r}") from None
     category = _single(query, "category")
     if category is not None:
-        segments = tuple(seg for seg in category.split("/"))
+        segments = tuple(nfc(category).split("/"))
         if not segments or any(not seg for seg in segments):
             raise _HttpError(400, "bad_request", f"bad category path: {category!r}")
         flt = replace(flt, category_prefix=segments)

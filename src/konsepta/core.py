@@ -11,6 +11,7 @@ inside lemmas and category names - there is deliberately no escape syntax.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -34,10 +35,6 @@ class UnknownCategoryError(KonseptaError, LookupError):
 
 class UnknownRelationTypeError(KonseptaError, LookupError):
     """A relation type name is not in the registry."""
-
-
-class MissingInverseError(KonseptaError, LookupError):
-    """A directional relation type has no declared inverse reading."""
 
 
 class UnknownConceptError(KonseptaError, LookupError):
@@ -95,14 +92,17 @@ class ConceptKind(str, Enum):
 GLYPH_KINDS = (ConceptKind.SYMBOL, ConceptKind.EMOTICON)
 
 
+#: Unicode general category Cc: exactly U+0000-U+001F and U+007F-U+009F.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
 def _check_component(value: str, what: str) -> None:
     if not value:
         raise KeyFormatError(f"empty {what}")
     if "/" in value:
         raise KeyFormatError(f"{what} may not contain '/': {value!r}")
-    for ch in value:
-        if unicodedata.category(ch) == "Cc":
-            raise KeyFormatError(f"{what} contains a control character: {value!r}")
+    if _CONTROL.search(value):
+        raise KeyFormatError(f"{what} contains a control character: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -196,11 +196,6 @@ class Taxonomy:
     def paths(self) -> list[tuple[str, ...]]:
         return sorted(self._nodes, key="/".join)
 
-    def subtree(self, path: Sequence[str]) -> list[tuple[str, ...]]:
-        """A registered path plus all its registered descendants."""
-        p = self.require(path)
-        return [q for q in self.paths() if q[: len(p)] == p]
-
     def clone(self) -> "Taxonomy":
         fresh = Taxonomy()
         fresh._nodes = set(self._nodes)
@@ -270,7 +265,7 @@ class RelationRegistry:
         """Involution check: maps offending type names to a reason.
 
         A declared inverse must exist and must point back, so that
-        ``inverse_of(inverse_of(t)) == t`` holds for every registered type.
+        ``reading_back(reading_back(t)) == t`` holds for every paired type.
         """
         problems: dict[str, str] = {}
         for name in self.names():
@@ -286,22 +281,8 @@ class RelationRegistry:
                 )
         return problems
 
-    def inverse_of(self, name: str) -> str:
-        """The type name read from the opposite side of an edge.
-
-        Symmetric types read as themselves.  Raises
-        :class:`MissingInverseError` for a directional type with no declared
-        inverse (such an edge is readable only forward).
-        """
-        rt = self.get(name)
-        if rt.symmetric:
-            return name
-        if rt.inverse is None:
-            raise MissingInverseError(name)
-        return rt.inverse
-
     def reading_back(self, name: str) -> str | None:
-        """As-read label when traversing an edge backwards, if any."""
+        """The name read from the opposite side of an edge; ``None`` if forward-only."""
         rt = self.get(name)
         if rt.symmetric:
             return name
@@ -363,10 +344,6 @@ class Concept:
             "translations",
             tuple(sorted((code, nfc(text)) for code, text in self.translations)),
         )
-
-    @property
-    def translations_map(self) -> dict[str, str]:
-        return dict(self.translations)
 
 
 def _flat(value: str) -> bool:
@@ -432,10 +409,8 @@ class WordForm:
         if not lemma:
             problems.append("empty form lemma")
         for what, value in (("surface", surface), ("lemma", lemma)):
-            for ch in value:
-                if unicodedata.category(ch) == "Cc":
-                    problems.append(f"form {what} contains a control character: {value!r}")
-                    break
+            if _CONTROL.search(value):
+                problems.append(f"form {what} contains a control character: {value!r}")
         tags = nfc(self.tags) if self.tags else ""
         if not _flat(tags):
             problems.append("form tags may not contain tabs or newlines")

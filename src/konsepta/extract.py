@@ -1,8 +1,8 @@
 """Mapping raw text to concept annotations.
 
-The pipeline is: tokenize, look up lemma candidates for word tokens through
-the form index, match multiword lemmas leftmost-longest, match single words,
-match symbol/emoji glyphs, then score and pick one concept per annotation.
+The pipeline is: tokenize, match multiword lemmas leftmost-longest, match
+single words as lemmas or through the form index, match symbol/emoji glyphs,
+then score and pick one concept per annotation.
 
 Everything here is a pure function of the store snapshot it is given, so
 extractions can run concurrently over the same snapshot.
@@ -14,7 +14,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import Gender, PartOfSpeech, fold, nfc
+from .core import Gender, PartOfSpeech, fold
 from .store import StoreState
 
 
@@ -156,34 +156,13 @@ class DisambiguationWeights:
 DEFAULT_WEIGHTS = DisambiguationWeights()
 
 
-def lemma_candidates(token_text: str, state: StoreState) -> list[tuple[str, PartOfSpeech | None, Gender]]:
-    """Possible (lemma, pos, gender) readings of one word token.
-
-    Union of form-index hits and the identity reading when the token itself
-    case-folds to a stored lemma; deduplicated, deterministic order.
-    """
-    text = nfc(token_text)
-    found: set[tuple[str, PartOfSpeech | None, Gender]] = set()
-    for form in state.form_lookup(text):
-        found.add((form.lemma, form.pos, form.gender))
-    if state.has_lemma(text):
-        found.add((text, None, Gender.UNSPECIFIED))
-    return sorted(found, key=lambda t: (t[0], t[1].value if t[1] else "", t[2].value))
-
-
 def _single_word_derivations(state: StoreState, token_text: str) -> list[Derivation]:
-    derivations: list[Derivation] = []
-    for concept in state.find_by_lemma(token_text):
-        derivations.append(Derivation(concept.key.canonical, MatchLevel.SURFACE))
-    for lemma, pos, gender in lemma_candidates(token_text, state):
-        if fold(lemma) == fold(token_text):
-            continue
-        for concept in state.find_by_lemma(lemma):
-            if pos is not None and pos is not concept.pos:
-                continue
-            if gender is not Gender.UNSPECIFIED and gender is not concept.gender:
-                continue
-            derivations.append(Derivation(concept.key.canonical, MatchLevel.LEMMA, pos, gender))
+    """The token as a lemma, then its forms joined to concepts as form search joins them."""
+    derivations = [Derivation(c.key.canonical, MatchLevel.SURFACE) for c in state.find_by_lemma(token_text)]
+    folded = fold(token_text)
+    for form, concepts in state.find_by_form(token_text):
+        if fold(form.lemma) != folded:
+            derivations += [Derivation(c.key.canonical, MatchLevel.LEMMA, form.pos, form.gender) for c in concepts]
     return derivations
 
 

@@ -100,6 +100,13 @@ def _bump(counter: dict[str, int], key: str, delta: int) -> None:
         counter.pop(key, None)
 
 
+def _discard(index: dict, name, item) -> None:
+    bucket = index[name]
+    bucket.discard(item)
+    if not bucket:
+        del index[name]
+
+
 class StoreState:
     """One consistent snapshot of the dictionary, with all indexes.
 
@@ -116,7 +123,6 @@ class StoreState:
         self._lemma_index: dict[str, set[str]] = {}
         self._form_index: dict[str, set[FormKey]] = {}
         self._glyph_index: dict[str, set[str]] = {}
-        self._cat_index: dict[tuple[str, ...], set[str]] = {}
         self._edges: dict[EdgeKey, RelationEdge] = {}
         self._adj: dict[str, set[EdgeKey]] = {}
         # Incremental counters; tests audit them against a full rescan.
@@ -137,7 +143,6 @@ class StoreState:
         fresh._lemma_index = {k: set(v) for k, v in self._lemma_index.items()}
         fresh._form_index = {k: set(v) for k, v in self._form_index.items()}
         fresh._glyph_index = {k: set(v) for k, v in self._glyph_index.items()}
-        fresh._cat_index = {k: set(v) for k, v in self._cat_index.items()}
         fresh._edges = dict(self._edges)
         fresh._adj = {k: set(v) for k, v in self._adj.items()}
         fresh._by_pos = dict(self._by_pos)
@@ -171,7 +176,6 @@ class StoreState:
             self._unindex_concept(canonical, old)
         self.concepts[canonical] = concept
         self._lemma_index.setdefault(fold(key.lemma), set()).add(canonical)
-        self._cat_index.setdefault(key.path, set()).add(canonical)
         if concept.glyph:
             self._glyph_index.setdefault(concept.glyph, set()).add(canonical)
         _bump(self._by_pos, _pos_key(concept.pos), 1)
@@ -179,10 +183,9 @@ class StoreState:
         return "updated" if old is not None else "inserted"
 
     def _unindex_concept(self, canonical: str, concept: Concept) -> None:
-        self._lemma_index.get(fold(concept.key.lemma), set()).discard(canonical)
-        self._cat_index.get(concept.key.path, set()).discard(canonical)
+        _discard(self._lemma_index, fold(concept.key.lemma), canonical)
         if concept.glyph:
-            self._glyph_index.get(concept.glyph, set()).discard(canonical)
+            _discard(self._glyph_index, concept.glyph, canonical)
         _bump(self._by_pos, _pos_key(concept.pos), -1)
         _bump(self._by_kind, concept.kind.value, -1)
 
@@ -193,7 +196,6 @@ class StoreState:
             raise UnknownConceptError(canonical)
         for edge_key in list(self._adj.get(canonical, ())):
             self._drop_edge(edge_key)
-        self._adj.pop(canonical, None)
         self._unindex_concept(canonical, concept)
         del self.concepts[canonical]
 
@@ -229,8 +231,8 @@ class StoreState:
 
     def _drop_edge(self, edge_key: EdgeKey) -> None:
         edge = self._edges.pop(edge_key)
-        self._adj.get(edge.source, set()).discard(edge_key)
-        self._adj.get(edge.target, set()).discard(edge_key)
+        _discard(self._adj, edge.source, edge_key)
+        _discard(self._adj, edge.target, edge_key)
         _bump(self._by_type, edge.type, -1)
 
     # -- reads ----------------------------------------------------------------
@@ -262,9 +264,6 @@ class StoreState:
         hits = [c for c in hits if flt.matches(c)]
         return sorted(hits, key=lambda c: (c.key.lemma != query, c.key.canonical))
 
-    def has_lemma(self, lemma: str) -> bool:
-        return bool(self._lemma_index.get(fold(nfc(lemma))))
-
     def form_lookup(self, surface: str) -> list[WordForm]:
         keys = self._form_index.get(fold(nfc(surface)), ())
         return [self.forms[k] for k in sorted(keys)]
@@ -277,7 +276,7 @@ class StoreState:
     def find_by_form(
         self, surface: str, flt: LookupFilter = EMPTY_FILTER
     ) -> list[tuple[WordForm, list[Concept]]]:
-        """Case-folded surface lookup, each form paired with its concepts."""
+        """Case-folded surface lookup; the one form-to-concept join, shared with extraction."""
         result = []
         for form in self.form_lookup(surface):
             candidates = self.find_by_lemma(form.lemma)
@@ -342,12 +341,10 @@ class StoreState:
         return tuple(sorted(self._readings(key, BOTH, None)))
 
     def concepts_in_category(self, path, recursive: bool = False) -> list[str]:
-        normalized = self.taxonomy.require(path)
-        paths = self.taxonomy.subtree(normalized) if recursive else [normalized]
-        keys: set[str] = set()
-        for p in paths:
-            keys.update(self._cat_index.get(p, ()))
-        return sorted(keys)
+        """Keys filed exactly under ``path`` (or below it when recursive), by a scan."""
+        path = self.taxonomy.require(path)
+        inside = LookupFilter(category_prefix=path).matches if recursive else lambda c: c.key.path == path
+        return sorted(key for key, concept in self.concepts.items() if inside(concept))
 
     def glyph_lookup(self, glyph: str) -> list[str]:
         return sorted(self._glyph_index.get(nfc(glyph), ()))
@@ -424,7 +421,3 @@ class Store:
     def upsert_form(self, form: WordForm) -> str:
         with self.write() as state:
             return state.upsert_form(form)
-
-    def register_category(self, path) -> bool:
-        with self.write() as state:
-            return state.taxonomy.register(path)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import subprocess
 import sys
 import time
 import urllib.parse
@@ -198,9 +197,11 @@ def test_c07_relation_semantics(snap, raw, fresh_store):
         for name in registry.names():
             rt = registry.get(name)
             if rt.symmetric:
-                assert registry.inverse_of(name) == name
+                assert registry.reading_back(name) == name
             elif rt.inverse is not None:
-                assert registry.inverse_of(registry.inverse_of(name)) == name
+                assert registry.reading_back(registry.reading_back(name)) == name
+            else:
+                assert registry.reading_back(name) is None
 
         # Symmetric canonicalization: both orientations store one edge.
         edges_before = len(fresh_store.snapshot().edges())
@@ -334,20 +335,12 @@ def test_c09_interface_consistency(store, snap):
 
 def test_c10_scale_smoke(tmp_path):
     with criterion(10, "scale smoke (100k concepts, 200k edges)"):
+        sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+        import scale_bundle
+
         bundle_dir = tmp_path / "scale"
-        generate = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "scripts" / "make_scale_dataset.py"),
-                "--out", str(bundle_dir),
-                "--concepts", "100000",
-                "--relations", "200000",
-            ],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert "100000 concepts" in generate.stdout
+        data = scale_bundle.generate(801, 100_000, 200_000)
+        data.write(bundle_dir)
 
         store = Store()
         started = time.perf_counter()
@@ -355,8 +348,9 @@ def test_c10_scale_smoke(tmp_path):
         report = load_dataset(bundle, store)
         load_seconds = time.perf_counter() - started
         assert report.rejected == 0
-        assert report.counts["concepts"].inserted == 100_000
-        assert report.counts["relations"].inserted == 200_000
+        assert report.counts["concepts"].inserted == len(data.keys)
+        assert report.counts["forms"].inserted == len(data.forms)
+        assert report.counts["relations"].inserted == data.edge_count == 200_000
         assert load_seconds < 30.0, f"load took {load_seconds:.1f}s"
 
         snap = store.snapshot()

@@ -4,6 +4,7 @@ import json
 import logging
 import threading
 import time
+import unicodedata
 import urllib.parse
 import urllib.request
 
@@ -108,6 +109,10 @@ class TestSearchEndpoint:
     def test_category_filter(self, store):
         status, payload = get(store, "/v1/search?lemma=" + q("hruška") + "&category=jedlo")
         assert [r["key"] for r in payload["results"]] == [FRUIT]
+        # The category is NFC-normalized like lemma and form.
+        for category in ("človek", unicodedata.normalize("NFD", "človek")):
+            status, payload = get(store, "/v1/search?lemma=" + q("muž") + "&category=" + q(category))
+            assert payload["total"] == 1, category
 
 
 class TestOtherReadEndpoints:

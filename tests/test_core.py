@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from konsepta.core import (
     ConceptKey,
     KeyFormatError,
-    MissingInverseError,
     RelationRegistry,
     RelationType,
     Taxonomy,
@@ -134,13 +133,13 @@ class TestTaxonomy:
 class TestRelationRegistry:
     def test_symmetric_reads_as_itself(self, snap):
         registry = snap.registry
-        assert registry.inverse_of("synonym") == "synonym"
-        assert registry.inverse_of("antonym") == "antonym"
+        assert registry.reading_back("synonym") == "synonym"
+        assert registry.reading_back("antonym") == "antonym"
 
     def test_diminutive_pairs_with_augmentative(self, snap):
         registry = snap.registry
-        assert registry.inverse_of("diminutive") == "augmentative"
-        assert registry.inverse_of("augmentative") == "diminutive"
+        assert registry.reading_back("diminutive") == "augmentative"
+        assert registry.reading_back("augmentative") == "diminutive"
 
     def test_involution_over_full_registry(self, snap):
         registry = snap.registry
@@ -148,7 +147,7 @@ class TestRelationRegistry:
         for name in registry.names():
             rt = registry.get(name)
             if rt.symmetric or rt.inverse is not None:
-                assert registry.inverse_of(registry.inverse_of(name)) == name
+                assert registry.reading_back(registry.reading_back(name)) == name
 
     def test_ships_at_least_twenty_types(self, snap):
         registry = snap.registry
@@ -169,8 +168,8 @@ class TestRelationRegistry:
     def test_missing_inverse_raises(self):
         registry = RelationRegistry()
         registry.upsert(RelationType("points-at"))
-        with pytest.raises(MissingInverseError):
-            registry.inverse_of("points-at")
+        # A forward-only type has no backwards reading.
+        assert registry.reading_back("points-at") is None
 
     def test_pairing_problem_detected(self):
         registry = RelationRegistry()

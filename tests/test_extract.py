@@ -15,7 +15,6 @@ from konsepta.extract import (
     DEFAULT_WEIGHTS,
     MatchLevel,
     TokenClass,
-    lemma_candidates,
 )
 
 import oracles
@@ -73,24 +72,6 @@ class TestTokenize:
     @given(st.text(max_size=80))
     def test_deterministic(self, text):
         assert tokenize(text) == tokenize(text)
-
-
-class TestLemmaCandidates:
-    def test_plural_form(self, snap):
-        candidates = lemma_candidates("hrušky", snap)
-        assert [(c[0], c[1]) for c in candidates] == [("hruška", PartOfSpeech.NOUN)]
-
-    def test_unknown_token(self, snap):
-        assert lemma_candidates("qwertz", snap) == []
-
-    def test_identity_for_stored_lemma(self, snap):
-        candidates = lemma_candidates("pes", snap)
-        assert ("pes", None, Gender.UNSPECIFIED) in candidates
-
-    def test_every_fixture_surface_yields_its_lemma(self, snap):
-        for form in snap.forms.values():
-            lemmas = {lemma for lemma, _pos, _gender in lemma_candidates(form.surface, snap)}
-            assert form.lemma in lemmas, form
 
 
 class TestExtract:
@@ -196,6 +177,9 @@ class TestDisambiguate:
         scores = {c.key: c.score for c in ann.candidates}
         assert scores[FRUIT] == scores[TREE]
         assert ann.chosen == FRUIT  # equal depth, canonical key order decides
+        # A stored lemma reads as itself, at surface level.
+        [dog] = extract("pes", snap)
+        assert (dog.chosen, dog.match_level) == ("zviera/pes", MatchLevel.SURFACE)
 
     def test_context_prefers_fruit_sense(self, snap):
         annotations = extract("jablko a hruška", snap)

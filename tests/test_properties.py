@@ -5,7 +5,7 @@ import unicodedata
 from hypothesis import given, settings, strategies as st
 
 from konsepta import DatasetBundle, Store, export_dataset, extract, load_dataset
-from konsepta.extract import lemma_candidates
+from konsepta.extract import MatchLevel
 from konsepta.ingest import SCHEMA_VERSION, fixture_dir
 from konsepta.semantics import path_relations, semantic_network, to_dot, transitive_closure
 
@@ -170,11 +170,12 @@ class TestUnicodeBoundaries:
         assert annotations[0].chosen == "jedlo/ovocie/hruška"
         # spans index the original string, not a normalized copy
         assert annotations[0].end == len(decomposed)
-
-    def test_decomposed_lemma_candidates(self, snap):
-        decomposed = unicodedata.normalize("NFD", "hrušky")
-        lemmas = {lemma for lemma, _p, _g in lemma_candidates(decomposed, snap)}
-        assert "hruška" in lemmas
+        # a decomposed inflected form still finds its lemma
+        plural = unicodedata.normalize("NFD", "hrušky")
+        assert [form.lemma for form, _ in snap.find_by_form(plural)] == ["hruška"]
+        [ann] = extract(plural, snap)
+        assert ann.match_level is MatchLevel.LEMMA
+        assert {c.key for c in ann.candidates} == {"jedlo/ovocie/hruška", "rastlina/strom/hruška"}
 
     def test_fixture_ancestors_literal(self, snap):
         assert snap.taxonomy.ancestors(("rastlina", "strom")) == [("rastlina",)]

@@ -13,6 +13,7 @@ from konsepta import (
     Store,
     WordForm,
     export_dataset,
+    extract,
     load_dataset,
 )
 from konsepta.core import (
@@ -95,7 +96,7 @@ class TestFindByForm:
         hits = snap.find_by_form("hrušky")
         assert len(hits) == 1
         form, concepts = hits[0]
-        assert form.lemma == "hruška"
+        assert (form.lemma, form.pos) == ("hruška", PartOfSpeech.NOUN)
         assert [c.key.canonical for c in concepts] == [FRUIT, TREE]
 
     def test_form_index_independent_of_lemma_index(self, snap):
@@ -122,6 +123,9 @@ class TestFindByForm:
             hits = snap.find_by_form(form.surface)
             matched = next(cs for f, cs in hits if f == form)
             assert [c.key.canonical for c in matched] == expected
+            # extraction reads the surface through the same join
+            candidates = {c.key for ann in extract(form.surface, snap) for c in ann.candidates}
+            assert set(expected) <= candidates, form
 
 
 class TestNeighbors:
@@ -468,6 +472,9 @@ class TestRebuildEquality:
         for glyph in self.GLYPHS:
             assert snap.glyph_lookup(glyph) == fresh.glyph_lookup(glyph), (where, glyph)
         assert snap.stats() == fresh.stats(), where
+        # The raw indexes too: no bucket left empty by a removal.
+        for index in ("_lemma_index", "_form_index", "_glyph_index", "_adj"):
+            assert getattr(snap, index) == getattr(fresh, index), (where, index)
 
     def test_random_transactions_match_rebuild(self, fresh_store):
         rng = random.Random(5005)
