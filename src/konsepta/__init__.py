@@ -18,7 +18,6 @@ from .core import (
     RelationType,
     Taxonomy,
     WordForm,
-    format_concept_key,
     parse_concept_key,
 )
 from .extract import Annotation, DisambiguationWeights, Token, disambiguate, extract, tokenize
@@ -62,7 +61,6 @@ __all__ = [
     "export_dataset",
     "extract",
     "fixture_dir",
-    "format_concept_key",
     "load_dataset",
     "parse_concept_key",
     "path_relations",

@@ -38,6 +38,9 @@ from .store import BOTH, INCOMING, OUTGOING, LookupFilter, Store, StoreState
 
 SCHEMA = "konsepta/v1"
 
+#: Page size of ``/v1/search`` when the request gives no ``limit``.
+DEFAULT_LIMIT = 50
+
 logger = logging.getLogger("konsepta.api")
 
 
@@ -45,7 +48,6 @@ logger = logging.getLogger("konsepta.api")
 class ApiConfig:
     admin_token: str = ""
     weights: DisambiguationWeights = field(default_factory=lambda: DEFAULT_WEIGHTS)
-    default_limit: int = 50
 
 
 DEFAULT_CONFIG = ApiConfig()
@@ -112,7 +114,7 @@ def _route(store: Store, method: str, target: str, body: bytes | None,
                          "concept keys in URLs must be a single percent-encoded segment")
     if rest == ["search"]:
         _need_method(method, "GET")
-        return 200, _search_view(store.snapshot(), query, config)
+        return 200, _search_view(store.snapshot(), query)
     if rest == ["graph"]:
         _need_method(method, "GET")
         return 200, _graph_view(store.snapshot(), query)
@@ -253,13 +255,13 @@ def _decode_filter(query) -> LookupFilter:
     category = _single(query, "category")
     if category is not None:
         segments = tuple(nfc(category).split("/"))
-        if not segments or any(not seg for seg in segments):
+        if any(not seg for seg in segments):
             raise _HttpError(400, "bad_request", f"bad category path: {category!r}")
         flt = replace(flt, category_prefix=segments)
     return flt
 
 
-def _search_view(state: StoreState, query, config: ApiConfig) -> dict:
+def _search_view(state: StoreState, query) -> dict:
     _allow_params(query, {"lemma", "form", "pos", "gender", "category", "kind", "limit", "offset"})
     lemma = _single(query, "lemma")
     form = _single(query, "form")
@@ -268,7 +270,7 @@ def _search_view(state: StoreState, query, config: ApiConfig) -> dict:
     if lemma is not None and form is not None:
         raise _HttpError(400, "bad_request", "lemma and form are mutually exclusive")
     flt = _decode_filter(query)
-    limit = _int_param(query, "limit", config.default_limit, 0)
+    limit = _int_param(query, "limit", DEFAULT_LIMIT, 0)
     offset = _int_param(query, "offset", 0, 0)
     if lemma is not None:
         concepts = state.find_by_lemma(lemma, flt)

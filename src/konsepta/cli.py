@@ -17,7 +17,6 @@ from pathlib import Path
 import click
 
 from .api import ApiConfig, dispatch, serialize_body, serve
-from .core import KonseptaError
 from .extract import DEFAULT_WEIGHTS, DisambiguationWeights
 from .ingest import (
     BundleFormatError,
@@ -28,6 +27,7 @@ from .ingest import (
     load_dataset,
     write_bundle,
 )
+from .semantics import to_dot
 from .store import Store
 
 EXIT_OK = 0
@@ -251,18 +251,8 @@ def graph(env: CliEnv, seeds, depth, types, fmt, as_json) -> None:
     params = [("seed", s) for s in seeds] + [("depth", str(depth))]
     if types is not None:
         params.append(("types", types))
-    if fmt == "graphtext" and not as_json:
-        from . import semantics
-
-        try:
-            names = {t for t in types.split(",") if t} if types else None
-            network = semantics.semantic_network(env.store().snapshot(), list(seeds), depth, names)
-        except KonseptaError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DOMAIN)
-        click.echo(semantics.to_dot(network), nl=False)
-        return
-    _request(env, f"/v1/graph?{_encode(params)}", True)
+    payload = _request(env, f"/v1/graph?{_encode(params)}", as_json or fmt == "records")
+    click.echo(to_dot(payload["graph"]), nl=False)
 
 
 @main.command()

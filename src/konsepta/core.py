@@ -59,8 +59,13 @@ def nfc(s: str) -> str:
 
 
 def fold(s: str) -> str:
-    """Case folding used by all indexes (diacritics are preserved)."""
-    return nfc(s).casefold()
+    """Case folding used by all indexes (diacritics are preserved).
+
+    The result is NFC again, because casefolding can leave a string that is
+    not (``ß\u0301`` folds to ``ss\u0301``); so ``fold(fold(s)) == fold(s)``.
+    Every index lookup folds, so this calls the normalizer directly.
+    """
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", s).casefold())
 
 
 class PartOfSpeech(str, Enum):
@@ -144,11 +149,6 @@ def parse_concept_key(s: str) -> ConceptKey:
     return ConceptKey(tuple(parts[:-1]), parts[-1])
 
 
-def format_concept_key(key: ConceptKey) -> str:
-    """Inverse of :func:`parse_concept_key`; byte-exact and deterministic."""
-    return key.canonical
-
-
 class Taxonomy:
     """Forest of registered category paths.
 
@@ -187,11 +187,6 @@ class Taxonomy:
         if normalized not in self._nodes:
             raise UnknownCategoryError("/".join(normalized))
         return normalized
-
-    def ancestors(self, path: Sequence[str]) -> list[tuple[str, ...]]:
-        """Proper prefixes of a registered path, nearest first."""
-        p = self.require(path)
-        return [p[:i] for i in range(len(p) - 1, 0, -1)]
 
     def paths(self) -> list[tuple[str, ...]]:
         return sorted(self._nodes, key="/".join)

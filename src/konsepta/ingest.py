@@ -122,10 +122,6 @@ class KindCounts:
     unchanged: int = 0
     rejected: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.inserted + self.updated + self.unchanged + self.rejected
-
 
 @dataclass(frozen=True)
 class Rejection:
@@ -170,10 +166,6 @@ class IngestReport:
     @property
     def rejected(self) -> int:
         return sum(c.rejected for c in self.counts.values())
-
-    @property
-    def total(self) -> int:
-        return sum(c.total for c in self.counts.values())
 
     def to_payload(self) -> dict:
         return {

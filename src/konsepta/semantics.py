@@ -156,16 +156,16 @@ def semantic_network(
     return SemanticNetwork(nodes, ordered_edges)
 
 
-def to_dot(network: SemanticNetwork) -> str:
-    """Graphviz text for external renderers; deterministic output."""
+def to_dot(graph: dict) -> str:
+    """Graphviz text for a :meth:`SemanticNetwork.to_payload` dict; deterministic output."""
     def quote(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["digraph konsepta {"]
-    for key, depth in network.nodes:
-        lines.append(f"  {quote(key)} [depth={depth}];")
-    for edge in network.edges:
-        lines.append(f"  {quote(edge.source)} -> {quote(edge.target)} [label={quote(edge.type)}];")
+    for node in graph["nodes"]:
+        lines.append(f"  {quote(node['key'])} [depth={node['depth']}];")
+    for edge in graph["edges"]:
+        lines.append(f"  {quote(edge['source'])} -> {quote(edge['target'])} [label={quote(edge['type'])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

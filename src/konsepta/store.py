@@ -364,10 +364,6 @@ class StoreState:
     def edges(self) -> list[RelationEdge]:
         return [self._edges[k] for k in sorted(self._edges)]
 
-    def edge_exists(self, source: str, target: str, type_name: str) -> bool:
-        edge = canonical_edge(source, target, type_name, self.registry)
-        return (edge.source, edge.target, edge.type) in self._edges
-
     def relation_count_for(self, type_name: str) -> int:
         return self._by_type.get(type_name, 0)
 
@@ -394,30 +390,9 @@ class Store:
 
     @contextmanager
     def write(self):
+        """Yield a private clone to mutate; publish it when the block exits cleanly."""
         with self._write_lock:
             work = self._state.clone()
             yield work
             work.freeze()
             self._state = work
-
-    # Single-operation conveniences; each is its own atomic transaction.
-
-    def upsert_concept(self, concept: Concept) -> str:
-        with self.write() as state:
-            return state.upsert_concept(concept)
-
-    def remove_concept(self, key: str | ConceptKey) -> None:
-        with self.write() as state:
-            state.remove_concept(key)
-
-    def upsert_relation(self, source: str, target: str, type_name: str) -> str:
-        with self.write() as state:
-            return state.upsert_relation(source, target, type_name)
-
-    def remove_relation(self, source: str, target: str, type_name: str) -> None:
-        with self.write() as state:
-            state.remove_relation(source, target, type_name)
-
-    def upsert_form(self, form: WordForm) -> str:
-        with self.write() as state:
-            return state.upsert_form(form)

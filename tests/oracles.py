@@ -16,7 +16,7 @@ from konsepta.extract import Token, TokenClass, tokenize
 
 
 def _fold(s: str) -> str:
-    return unicodedata.normalize("NFC", s).casefold()
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", s).casefold())
 
 
 @dataclass

@@ -15,7 +15,6 @@ import urllib.parse
 from contextlib import contextmanager
 from pathlib import Path
 
-import pytest
 from click.testing import CliRunner
 
 from konsepta import (
@@ -35,8 +34,7 @@ from konsepta import (
 from konsepta.api import dispatch, serialize_body
 from konsepta.cli import main as cli_main
 from konsepta.extract import MatchLevel
-from konsepta.ingest import FILE_NAMES, fixture_dir, load_dataset as _load
-from konsepta.semantics import semantic_network, transitive_closure
+from konsepta.semantics import semantic_network
 
 import oracles
 
@@ -205,9 +203,13 @@ def test_c07_relation_semantics(snap, raw, fresh_store):
 
         # Symmetric canonicalization: both orientations store one edge.
         edges_before = len(fresh_store.snapshot().edges())
-        assert fresh_store.upsert_relation("zviera/pes", "zviera/šelma/vlk", "related") == "unchanged"
-        assert fresh_store.upsert_relation("zviera/šelma/vlk", "zviera/pes", "related") == "unchanged"
-        fresh_store.upsert_relation("spôsob/dobre", "spôsob/blažene", "synonym")
+        for source, target, type_name in (
+            ("zviera/pes", "zviera/šelma/vlk", "related"),
+            ("zviera/šelma/vlk", "zviera/pes", "related"),
+            ("spôsob/dobre", "spôsob/blažene", "synonym"),
+        ):
+            with fresh_store.write() as state:
+                assert state.upsert_relation(source, target, type_name) == "unchanged"
         assert len(fresh_store.snapshot().edges()) == edges_before
 
         # Exhaustive as-read replay of every fixture edge, both directions.
@@ -231,19 +233,21 @@ def test_c08_stats_audit(fresh_store, report):
             choice = rng.random()
             if choice < 0.4:
                 key = ConceptKey(("meno",), f"Syntetik{ops}")
-                fresh_store.upsert_concept(
-                    Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE)
-                )
+                with fresh_store.write() as work:
+                    work.upsert_concept(Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE))
                 spare.append(key.canonical)
             elif choice < 0.6 and spare:
-                fresh_store.remove_concept(spare.pop(rng.randrange(len(spare))))
+                with fresh_store.write() as work:
+                    work.remove_concept(spare.pop(rng.randrange(len(spare))))
             elif choice < 0.85:
                 a, b = rng.sample(sorted(state.concepts), 2)
                 type_name = rng.choice(state.registry.names())
-                fresh_store.upsert_relation(a, b, type_name)
+                with fresh_store.write() as work:
+                    work.upsert_relation(a, b, type_name)
             elif state.edges():
                 edge = rng.choice(state.edges())
-                fresh_store.remove_relation(edge.source, edge.target, edge.type)
+                with fresh_store.write() as work:
+                    work.remove_relation(edge.source, edge.target, edge.type)
             else:
                 continue
             ops += 1

@@ -314,7 +314,8 @@ class TestTransportTransparency:
 
     def test_snapshot_bound_per_request(self, fresh_store):
         before = get(fresh_store, "/v1/stats")[1]["stats"]["concepts"]
-        fresh_store.remove_concept(TREE)
+        with fresh_store.write() as state:
+            state.remove_concept(TREE)
         after = get(fresh_store, "/v1/stats")[1]["stats"]["concepts"]
         assert after == before - 1
 

@@ -168,6 +168,22 @@ class TestGraphCommand:
         result = runner.invoke(main, ["graph", "--seed", "meno/Nikto"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "args,exit_code",
+        [
+            (["--seed", "meno/Nikto"], 1),
+            (["--seed", "miesto/mesto/Bratislava", "--types", ","], 2),
+            (["--seed", "Bratislava"], 2),
+        ],
+    )
+    def test_graphtext_errors_match_records(self, runner, args, exit_code):
+        records = runner.invoke(main, ["graph", *args, "--format", "records"])
+        graphtext = runner.invoke(main, ["graph", *args, "--format", "graphtext"])
+        message = json.loads(records.stdout)["error"]["message"]
+        assert records.exit_code == graphtext.exit_code == exit_code
+        assert graphtext.stderr == f"error: {message}\n"
+        assert graphtext.stdout == ""
+
 
 class TestStatsCommand:
     def test_human_output(self, runner):

@@ -1,7 +1,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from konsepta.core import (
     ConceptKey,
@@ -11,7 +11,7 @@ from konsepta.core import (
     Taxonomy,
     UnknownCategoryError,
     ValidationError,
-    format_concept_key,
+    fold,
     parse_concept_key,
 )
 
@@ -54,8 +54,8 @@ class TestConceptKey:
             parse_concept_key(bad)
 
     def test_format_examples(self):
-        assert format_concept_key(ConceptKey(("rastlina", "strom"), "hruška")) == "rastlina/strom/hruška"
-        assert format_concept_key(ConceptKey(("symbol",), "plus")) == "symbol/plus"
+        assert ConceptKey(("rastlina", "strom"), "hruška").canonical == "rastlina/strom/hruška"
+        assert ConceptKey(("symbol",), "plus").canonical == "symbol/plus"
 
     def test_empty_path_rejected(self):
         with pytest.raises(KeyFormatError):
@@ -67,12 +67,12 @@ class TestConceptKey:
 
     @given(_keys())
     def test_round_trip_from_key(self, key):
-        assert parse_concept_key(format_concept_key(key)) == key
+        assert parse_concept_key(key.canonical) == key
 
     @given(_keys())
     def test_round_trip_from_string(self, key):
-        s = format_concept_key(key)
-        assert format_concept_key(parse_concept_key(s)) == s
+        s = key.canonical
+        assert parse_concept_key(s).canonical == s
 
     @given(_keys())
     def test_nfc_idempotent(self, key):
@@ -84,7 +84,27 @@ class TestConceptKey:
         decomposed = "rastlina/strom/hruška"  # š as s + combining caron
         key = parse_concept_key(decomposed)
         assert key.lemma == "hruška"
-        assert format_concept_key(key) == unicodedata.normalize("NFC", decomposed)
+        assert key.canonical == unicodedata.normalize("NFC", decomposed)
+
+
+# Base scalars interleaved with common combining marks (acute, grave,
+# circumflex, diaeresis, caron, cedilla, dot below, iota subscript).
+_marked_text = st.lists(
+    st.one_of(
+        st.characters(max_codepoint=0x2FFFF, blacklist_categories=("Cs",)),
+        st.sampled_from("\u0301\u0300\u0302\u0308\u030c\u0327\u0323\u0345"),
+    ),
+    max_size=8,
+).map("".join)
+
+
+class TestFold:
+    @given(_marked_text)
+    @example("\u00df\u0301")  # casefolds to "ss" + U+0301, which is not NFC
+    def test_idempotent(self, s):
+        folded = fold(s)
+        assert unicodedata.is_normalized("NFC", folded)
+        assert fold(folded) == folded
 
 
 class TestTaxonomy:
@@ -106,24 +126,11 @@ class TestTaxonomy:
         with pytest.raises(UnknownCategoryError):
             tax.register(("rastlina", "strom"))
 
-    def test_ancestors_nearest_first(self):
-        tax = Taxonomy()
-        tax.register(("a",))
-        tax.register(("a", "b"))
-        tax.register(("a", "b", "c"))
-        assert tax.ancestors(("a", "b", "c")) == [("a", "b"), ("a",)]
-        assert tax.ancestors(("a",)) == []
-
-    def test_ancestors_unregistered(self):
-        tax = Taxonomy()
-        with pytest.raises(UnknownCategoryError):
-            tax.ancestors(("nope",))
-
     def test_all_fixture_ancestors_registered(self, snap):
-        # Forest property: every ancestor of a registered path is registered.
+        # Forest property: every proper prefix of a registered path is registered.
         for path in snap.taxonomy.paths():
-            for ancestor in snap.taxonomy.ancestors(path):
-                assert ancestor in snap.taxonomy
+            for i in range(1, len(path)):
+                assert path[:i] in snap.taxonomy
 
     def test_fixture_category_count_matches_file(self, fixture_texts, snap):
         lines = [l for l in fixture_texts["taxonomy"].splitlines()[1:] if l]

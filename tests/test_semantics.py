@@ -168,8 +168,8 @@ class TestSemanticNetwork:
 
     def test_dot_output_deterministic(self, snap):
         network = semantic_network(snap, [MUZ], 1)
-        dot = to_dot(network)
-        assert dot == to_dot(network)
+        dot = to_dot(network.to_payload())
+        assert dot == to_dot(network.to_payload())
         assert dot.startswith("digraph konsepta {")
         assert '"človek/muž" -> "človek/žena" [label="spouse"];' in dot
 

@@ -44,7 +44,8 @@ class TestGet:
     def test_get_after_upsert(self, fresh_store):
         key = ConceptKey(("rastlina", "strom"), "baobab")
         concept = Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE)
-        fresh_store.upsert_concept(concept)
+        with fresh_store.write() as state:
+            state.upsert_concept(concept)
         assert fresh_store.snapshot().get("rastlina/strom/baobab") == concept
 
 
@@ -71,8 +72,10 @@ class TestFindByLemma:
     def test_exact_case_sorts_first(self, fresh_store):
         upper = Concept(ConceptKey(("meno",), "Viera"), ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.FEMININE)
         lower = Concept(ConceptKey(("vlastnosť",), "viera"), ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.FEMININE)
-        fresh_store.upsert_concept(upper)
-        fresh_store.upsert_concept(lower)
+        with fresh_store.write() as state:
+            state.upsert_concept(upper)
+        with fresh_store.write() as state:
+            state.upsert_concept(lower)
         assert [c.key.canonical for c in fresh_store.snapshot().find_by_lemma("viera")] == [
             "vlastnosť/viera",
             "meno/Viera",
@@ -241,7 +244,8 @@ class TestIndexCoherence:
 
 class TestMutation:
     def test_remove_concept_removes_incident_edges(self, fresh_store):
-        fresh_store.remove_concept(TREE)
+        with fresh_store.write() as state:
+            state.remove_concept(TREE)
         snap = fresh_store.snapshot()
         assert all(other != TREE for _label, other in snap.neighbors(FRUIT))
         assert all(TREE not in (e.source, e.target) for e in snap.edges())
@@ -249,45 +253,49 @@ class TestMutation:
     def test_upsert_then_remove_restores_state(self, fresh_store):
         before = export_dataset(fresh_store.snapshot())
         key = ConceptKey(("rastlina", "strom"), "baobab")
-        fresh_store.upsert_concept(
-            Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE)
-        )
+        with fresh_store.write() as state:
+            state.upsert_concept(Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE))
         assert export_dataset(fresh_store.snapshot()) != before
-        fresh_store.remove_concept(key)
+        with fresh_store.write() as state:
+            state.remove_concept(key)
         assert export_dataset(fresh_store.snapshot()) == before
 
     def test_relation_with_missing_target_leaves_store_unchanged(self, fresh_store):
         before = export_dataset(fresh_store.snapshot())
-        with pytest.raises(UnknownConceptError):
-            fresh_store.upsert_relation(FRUIT, "jedlo/ovocie/ananás", "related")
+        with pytest.raises(UnknownConceptError), fresh_store.write() as state:
+            state.upsert_relation(FRUIT, "jedlo/ovocie/ananás", "related")
         assert export_dataset(fresh_store.snapshot()) == before
 
     def test_symmetric_edge_canonicalized(self, fresh_store):
         edges_before = len(fresh_store.snapshot().edges())
-        fresh_store.upsert_concept(
-            Concept(ConceptKey(("zviera",), "mačka"), ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.FEMININE)
-        )
-        first = fresh_store.upsert_relation("zviera/pes", "zviera/mačka", "related")
-        second = fresh_store.upsert_relation("zviera/mačka", "zviera/pes", "related")
+        with fresh_store.write() as state:
+            state.upsert_concept(
+                Concept(ConceptKey(("zviera",), "mačka"), ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.FEMININE)
+            )
+        with fresh_store.write() as state:
+            first = state.upsert_relation("zviera/pes", "zviera/mačka", "related")
+        with fresh_store.write() as state:
+            second = state.upsert_relation("zviera/mačka", "zviera/pes", "related")
         assert first == "inserted"
         assert second == "unchanged"
         assert len(fresh_store.snapshot().edges()) == edges_before + 1
 
     def test_remove_relation_unknown_edge(self, fresh_store):
-        with pytest.raises(UnknownEdgeError):
-            fresh_store.remove_relation(FRUIT, TREE, "antonym")
+        with pytest.raises(UnknownEdgeError), fresh_store.write() as state:
+            state.remove_relation(FRUIT, TREE, "antonym")
 
     def test_remove_unknown_concept(self, fresh_store):
-        with pytest.raises(UnknownConceptError):
-            fresh_store.remove_concept("meno/Nikto")
+        with pytest.raises(UnknownConceptError), fresh_store.write() as state:
+            state.remove_concept("meno/Nikto")
 
     def test_self_relation_rejected(self, fresh_store):
-        with pytest.raises(ValidationError):
-            fresh_store.upsert_relation(FRUIT, FRUIT, "related")
+        with pytest.raises(ValidationError), fresh_store.write() as state:
+            state.upsert_relation(FRUIT, FRUIT, "related")
 
     def test_snapshot_isolation(self, fresh_store):
         old = fresh_store.snapshot()
-        fresh_store.remove_concept(TREE)
+        with fresh_store.write() as state:
+            state.remove_concept(TREE)
         assert old.get(TREE) is not None
         assert fresh_store.snapshot().get(TREE) is None
         assert old.neighbors(FRUIT) != fresh_store.snapshot().neighbors(FRUIT)
@@ -329,11 +337,12 @@ class TestConcurrency:
         try:
             for i in range(40):
                 key = ConceptKey(("meno",), f"Para{i}")
-                fresh_store.upsert_concept(
-                    Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE)
-                )
-                fresh_store.upsert_relation(key.canonical, "meno/Miro", "related")
-                fresh_store.remove_concept(key.canonical)
+                with fresh_store.write() as state:
+                    state.upsert_concept(Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE))
+                with fresh_store.write() as state:
+                    state.upsert_relation(key.canonical, "meno/Miro", "related")
+                with fresh_store.write() as state:
+                    state.remove_concept(key.canonical)
         finally:
             stop.set()
             for thread in threads:
@@ -365,9 +374,8 @@ class TestStats:
         spare_keys = []
         for i in range(30):
             key = ConceptKey(("meno",), f"Syntetik{i}")
-            fresh_store.upsert_concept(
-                Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE)
-            )
+            with fresh_store.write() as state:
+                state.upsert_concept(Concept(key, ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.MASCULINE))
             spare_keys.append(key.canonical)
         for step in range(60):
             state = fresh_store.snapshot()
@@ -375,14 +383,17 @@ class TestStats:
             if action == "add_edge":
                 a, b = rng.sample(sorted(state.concepts), 2)
                 try:
-                    fresh_store.upsert_relation(a, b, rng.choice(state.registry.names()))
+                    with fresh_store.write() as work:
+                        work.upsert_relation(a, b, rng.choice(state.registry.names()))
                 except Exception:
                     pass
             elif action == "drop_edge" and state.edges():
                 edge = rng.choice(state.edges())
-                fresh_store.remove_relation(edge.source, edge.target, edge.type)
+                with fresh_store.write() as work:
+                    work.remove_relation(edge.source, edge.target, edge.type)
             elif action == "drop_concept" and spare_keys:
-                fresh_store.remove_concept(spare_keys.pop())
+                with fresh_store.write() as work:
+                    work.remove_concept(spare_keys.pop())
             got = fresh_store.snapshot().stats().to_payload()
             expected = oracles.stats_by_scan(fresh_store.snapshot())
             expected = {k: (dict(sorted(v.items())) if isinstance(v, dict) else v) for k, v in expected.items()}
