@@ -17,6 +17,7 @@ import urllib.parse
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, NamedTuple
 
 from . import semantics
 from .core import (
@@ -33,13 +34,18 @@ from .core import (
     parse_concept_key,
 )
 from .extract import DEFAULT_WEIGHTS, DisambiguationWeights, extract
-from .ingest import PHASES, BundleFormatError, DatasetBundle, load_dataset
-from .store import BOTH, INCOMING, OUTGOING, LookupFilter, Store, StoreState
-
-SCHEMA = "konsepta/v1"
+from .ingest import PHASES, SCHEMA_VERSION as SCHEMA, BundleFormatError, DatasetBundle, load_dataset
+from .store import BOTH, INCOMING, OUTGOING, LookupFilter, Store
 
 #: Page size of ``/v1/search`` when the request gives no ``limit``.
 DEFAULT_LIMIT = 50
+
+#: The one error code of each status; fixed, as ``HTTPStatus`` phrases vary by Python version.
+ERROR_CODES = {
+    400: "bad_request", 401: "unauthorized", 403: "forbidden", 404: "not_found",
+    405: "method_not_allowed", 414: "uri_too_long", 431: "request_header_fields_too_large",
+    500: "internal", 501: "not_implemented", 505: "http_version_not_supported",
+}
 
 logger = logging.getLogger("konsepta.api")
 
@@ -59,19 +65,11 @@ def serialize_body(payload: dict) -> bytes:
 
 
 class _HttpError(Exception):
-    def __init__(self, status: int, code: str, message: str, detail=None):
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
-        self.detail = detail
+    """Raised as ``_HttpError(status, message)``; :func:`dispatch` replies with it."""
 
 
-def _error_payload(code: str, message: str, detail=None) -> dict:
-    error: dict = {"code": code, "message": message}
-    if detail is not None:
-        error["detail"] = detail
-    return {"schema": SCHEMA, "error": error}
+def _error(status: int, message: str) -> tuple[int, dict]:
+    return status, {"schema": SCHEMA, "error": {"code": ERROR_CODES[status], "message": message}}
 
 
 def dispatch(store: Store, method: str, target: str, body: bytes | None = None,
@@ -81,81 +79,67 @@ def dispatch(store: Store, method: str, target: str, body: bytes | None = None,
     try:
         return _route(store, method, target, body, config, headers or {})
     except _HttpError as exc:
-        return exc.status, _error_payload(exc.code, exc.message, exc.detail)
+        return _error(*exc.args)
     except (UnknownConceptError, UnknownCategoryError, UnknownRelationTypeError,
             UnknownEdgeError, semantics.NoPathError) as exc:
-        return 404, _error_payload("not_found", str(exc))
+        return _error(404, str(exc))
     except KonseptaError as exc:
-        return 400, _error_payload("bad_request", str(exc))
+        return _error(400, str(exc))
     except Exception:  # noqa: BLE001 - transport boundary
         logger.exception("unhandled error for %s %s", method, target)
-        return 500, _error_payload("internal", "internal error")
+        return _error(500, "internal error")
+
+
+class _Request(NamedTuple):
+    """What a route handler reads; ``key`` is the URL's ``{key}`` segment, if any."""
+
+    store: Store
+    key: str | None
+    query: dict[str, list[str]]
+    body: bytes | None
+    config: ApiConfig
+    headers: dict[str, str]
+
+
+class Route(NamedTuple):
+    """One endpoint; a ``{key}`` part of the template matches any one URL segment."""
+
+    method: str
+    template: tuple[str, ...]
+    params: tuple[str, ...]
+    repeatable: tuple[str, ...]
+    handler: Callable[[_Request], dict]
+
+
+def _routes_at(path: str) -> tuple[list[Route], list[str]]:
+    """The routes whose template matches ``path``, and its percent-decoded segments."""
+    segments = [urllib.parse.unquote(seg) for seg in path.split("/") if seg != ""]
+    return [route for route in ROUTES if len(route.template) == len(segments)
+            and all(part in (seg, "{key}") for part, seg in zip(route.template, segments))], segments
 
 
 def _route(store: Store, method: str, target: str, body: bytes | None,
            config: ApiConfig, headers: dict[str, str]) -> tuple[int, dict]:
     split = urllib.parse.urlsplit(target)
-    raw_segments = [seg for seg in split.path.split("/") if seg != ""]
-    segments = [urllib.parse.unquote(seg) for seg in raw_segments]
-    query = _parse_query(split.query)
-
-    if len(segments) < 1 or segments[0] != "v1":
-        raise _HttpError(404, "not_found", f"no such endpoint: {split.path}")
-    rest = segments[1:]
-
-    if rest and rest[0] == "concepts":
-        if len(rest) == 2:
-            _need_method(method, "GET")
-            return 200, _concept_view(store.snapshot(), rest[1], query)
-        if len(rest) == 3 and rest[2] == "relations":
-            _need_method(method, "GET")
-            return 200, _relations_view(store.snapshot(), rest[1], query)
-        raise _HttpError(400, "bad_request",
-                         "concept keys in URLs must be a single percent-encoded segment")
-    if rest == ["search"]:
-        _need_method(method, "GET")
-        return 200, _search_view(store.snapshot(), query)
-    if rest == ["graph"]:
-        _need_method(method, "GET")
-        return 200, _graph_view(store.snapshot(), query)
-    if rest == ["analogy"]:
-        _need_method(method, "GET")
-        return 200, _analogy_view(store.snapshot(), query)
-    if rest == ["stats"]:
-        _need_method(method, "GET")
-        _allow_params(query, set())
-        return 200, {"schema": SCHEMA, "stats": store.snapshot().stats().to_payload()}
-    if rest == ["extract"]:
-        _need_method(method, "POST")
-        _allow_params(query, set())
-        return 200, _extract_view(store.snapshot(), body, config)
-    if rest == ["admin", "ingest"]:
-        _need_method(method, "POST")
-        _allow_params(query, set())
-        _check_admin(headers.get("Authorization"), config)
-        return 200, _admin_ingest(store, body, config)
-    raise _HttpError(404, "not_found", f"no such endpoint: {split.path}")
-
-
-def _need_method(method: str, expected: str) -> None:
-    if method != expected:
-        raise _HttpError(405, "method_not_allowed", f"method {method} not allowed, use {expected}")
-
-
-def _parse_query(query_string: str) -> dict[str, list[str]]:
-    pairs = urllib.parse.parse_qsl(query_string, keep_blank_values=True)
+    routes, segments = _routes_at(split.path)
+    if not routes:
+        if segments[:2] == ["v1", "concepts"]:
+            raise _HttpError(400, "concept keys in URLs must be a single percent-encoded segment")
+        raise _HttpError(404, f"no such endpoint: {split.path}")
+    methods = [route.method for route in routes]
+    if method not in methods:
+        raise _HttpError(405, f"method {method} not allowed, use {', '.join(methods)}")
+    route = routes[methods.index(method)]
     query: dict[str, list[str]] = {}
-    for name, value in pairs:
+    for name, value in urllib.parse.parse_qsl(split.query, keep_blank_values=True):
         query.setdefault(name, []).append(value)
-    return query
-
-
-def _allow_params(query: dict[str, list[str]], allowed: set[str], repeatable: set[str] = frozenset()) -> None:
     for name, values in query.items():
-        if name not in allowed:
-            raise _HttpError(400, "bad_request", f"unknown query parameter: {name}")
-        if len(values) > 1 and name not in repeatable:
-            raise _HttpError(400, "bad_request", f"duplicate query parameter: {name}")
+        if name not in route.params:
+            raise _HttpError(400, f"unknown query parameter: {name}")
+        if len(values) > 1 and name not in route.repeatable:
+            raise _HttpError(400, f"duplicate query parameter: {name}")
+    key = next((seg for part, seg in zip(route.template, segments) if part == "{key}"), None)
+    return 200, route.handler(_Request(store, key, query, body, config, headers))
 
 
 def _single(query: dict[str, list[str]], name: str) -> str | None:
@@ -170,9 +154,9 @@ def _int_param(query: dict[str, list[str]], name: str, default: int, minimum: in
     try:
         value = int(raw)
     except ValueError:
-        raise _HttpError(400, "bad_request", f"{name} must be an integer: {raw!r}") from None
+        raise _HttpError(400, f"{name} must be an integer: {raw!r}") from None
     if value < minimum:
-        raise _HttpError(400, "bad_request", f"{name} must be >= {minimum}")
+        raise _HttpError(400, f"{name} must be >= {minimum}")
     return value
 
 
@@ -190,11 +174,11 @@ def _concept_summary(concept) -> dict:
     }
 
 
-def _concept_view(state: StoreState, key: str, query) -> dict:
-    _allow_params(query, set())
-    concept = state.get(parse_concept_key(key))
+def _concept_view(req: _Request) -> dict:
+    state = req.store.snapshot()
+    concept = state.get(parse_concept_key(req.key))
     if concept is None:
-        raise _HttpError(404, "not_found", f"unknown concept: {key}")
+        raise _HttpError(404, f"unknown concept: {req.key}")
     payload = _concept_summary(concept)
     if concept.pos_label:
         payload["pos_label"] = concept.pos_label
@@ -218,14 +202,13 @@ def _concept_view(state: StoreState, key: str, query) -> dict:
     return {"schema": SCHEMA, "concept": payload}
 
 
-def _relations_view(state: StoreState, key: str, query) -> dict:
-    _allow_params(query, {"type", "direction"})
-    direction = _single(query, "direction") or BOTH
+def _relations_view(req: _Request) -> dict:
+    direction = _single(req.query, "direction") or BOTH
     if direction not in (OUTGOING, INCOMING, BOTH):
-        raise _HttpError(400, "bad_request", f"direction must be outgoing|incoming|both: {direction!r}")
-    type_name = _single(query, "type")
-    canonical = parse_concept_key(key).canonical
-    results = state.neighbors(canonical, type_name, direction)
+        raise _HttpError(400, f"direction must be outgoing|incoming|both: {direction!r}")
+    type_name = _single(req.query, "type")
+    canonical = parse_concept_key(req.key).canonical
+    results = req.store.snapshot().neighbors(canonical, type_name, direction)
     return {
         "schema": SCHEMA,
         "key": canonical,
@@ -240,35 +223,35 @@ def _decode_filter(query) -> LookupFilter:
         try:
             flt = replace(flt, pos=PartOfSpeech(pos))
         except ValueError:
-            raise _HttpError(400, "bad_request", f"unknown pos: {pos!r}") from None
+            raise _HttpError(400, f"unknown pos: {pos!r}") from None
     gender = _single(query, "gender")
     if gender is not None:
         if gender not in ("m", "f", "n"):
-            raise _HttpError(400, "bad_request", f"gender must be m|f|n: {gender!r}")
+            raise _HttpError(400, f"gender must be m|f|n: {gender!r}")
         flt = replace(flt, gender=Gender(gender))
     kind = _single(query, "kind")
     if kind is not None:
         try:
             flt = replace(flt, kind=ConceptKind(kind))
         except ValueError:
-            raise _HttpError(400, "bad_request", f"unknown kind: {kind!r}") from None
+            raise _HttpError(400, f"unknown kind: {kind!r}") from None
     category = _single(query, "category")
     if category is not None:
         segments = tuple(nfc(category).split("/"))
         if any(not seg for seg in segments):
-            raise _HttpError(400, "bad_request", f"bad category path: {category!r}")
+            raise _HttpError(400, f"bad category path: {category!r}")
         flt = replace(flt, category_prefix=segments)
     return flt
 
 
-def _search_view(state: StoreState, query) -> dict:
-    _allow_params(query, {"lemma", "form", "pos", "gender", "category", "kind", "limit", "offset"})
+def _search_view(req: _Request) -> dict:
+    state, query = req.store.snapshot(), req.query
     lemma = _single(query, "lemma")
     form = _single(query, "form")
     if lemma is None and form is None:
-        raise _HttpError(400, "bad_request", "one of lemma or form is required")
+        raise _HttpError(400, "one of lemma or form is required")
     if lemma is not None and form is not None:
-        raise _HttpError(400, "bad_request", "lemma and form are mutually exclusive")
+        raise _HttpError(400, "lemma and form are mutually exclusive")
     flt = _decode_filter(query)
     limit = _int_param(query, "limit", DEFAULT_LIMIT, 0)
     offset = _int_param(query, "offset", 0, 0)
@@ -293,33 +276,32 @@ def _search_view(state: StoreState, query) -> dict:
     }
 
 
-def _graph_view(state: StoreState, query) -> dict:
-    _allow_params(query, {"seed", "depth", "types"}, repeatable={"seed"})
+def _graph_view(req: _Request) -> dict:
+    query = req.query
     seeds = [parse_concept_key(s).canonical for s in query.get("seed", [])]
     if not seeds:
-        raise _HttpError(400, "bad_request", "at least one seed is required")
+        raise _HttpError(400, "at least one seed is required")
     depth = _int_param(query, "depth", 1, 0)
     types_raw = _single(query, "types")
     type_filter = None
     if types_raw is not None:
         type_filter = {t for t in types_raw.split(",") if t}
         if not type_filter:
-            raise _HttpError(400, "bad_request", "types must be a comma-separated list")
-    network = semantics.semantic_network(state, seeds, depth, type_filter)
+            raise _HttpError(400, "types must be a comma-separated list")
+    network = semantics.semantic_network(req.store.snapshot(), seeds, depth, type_filter)
     return {"schema": SCHEMA, "graph": network.to_payload()}
 
 
-def _analogy_view(state: StoreState, query) -> dict:
-    _allow_params(query, {"a1", "b1", "a2", "k", "max_len"})
+def _analogy_view(req: _Request) -> dict:
     keys = {}
     for name in ("a1", "b1", "a2"):
-        raw = _single(query, name)
+        raw = _single(req.query, name)
         if raw is None:
-            raise _HttpError(400, "bad_request", f"missing required parameter: {name}")
+            raise _HttpError(400, f"missing required parameter: {name}")
         keys[name] = parse_concept_key(raw).canonical
-    k = _int_param(query, "k", 10, 1)
-    max_len = _int_param(query, "max_len", 2, 1)
-    results = semantics.solve_analogy(state, keys["a1"], keys["b1"], keys["a2"], max_len, k)
+    k = _int_param(req.query, "k", 10, 1)
+    max_len = _int_param(req.query, "max_len", 2, 1)
+    results = semantics.solve_analogy(req.store.snapshot(), keys["a1"], keys["b1"], keys["a2"], max_len, k)
     return {
         "schema": SCHEMA,
         "results": [
@@ -332,54 +314,70 @@ def _analogy_view(state: StoreState, query) -> dict:
     }
 
 
-def _extract_view(state: StoreState, body: bytes | None, config: ApiConfig) -> dict:
-    data = _json_object(body)
+def _extract_view(req: _Request) -> dict:
+    data = _json_object(req.body)
     if set(data) != {"text"}:
-        raise _HttpError(400, "bad_request", 'body must be {"text": ...}')
+        raise _HttpError(400, 'body must be {"text": ...}')
     if not isinstance(data["text"], str):
-        raise _HttpError(400, "bad_request", "text must be a string")
-    annotations = extract(data["text"], state, config.weights)
+        raise _HttpError(400, "text must be a string")
+    annotations = extract(data["text"], req.store.snapshot(), req.config.weights)
     return {"schema": SCHEMA, "annotations": [a.to_payload() for a in annotations]}
 
 
 def _check_admin(auth_header: str | None, config: ApiConfig) -> None:
     """Bearer-token gate: 401 without credentials, 403 with bad ones."""
     if auth_header is None:
-        raise _HttpError(401, "unauthorized", "missing bearer token")
+        raise _HttpError(401, "missing bearer token")
     parts = auth_header.split(None, 1)
     if len(parts) != 2 or parts[0].lower() != "bearer":
-        raise _HttpError(401, "unauthorized", "authorization must be 'Bearer <token>'")
+        raise _HttpError(401, "authorization must be 'Bearer <token>'")
     if not config.admin_token or not hmac.compare_digest(
             parts[1].encode("utf-8"), config.admin_token.encode("utf-8")):
-        raise _HttpError(403, "forbidden", "invalid admin token")
+        raise _HttpError(403, "invalid admin token")
 
 
-def _admin_ingest(store: Store, body: bytes | None, config: ApiConfig) -> dict:
-    data = _json_object(body)
+def _admin_ingest(req: _Request) -> dict:
+    _check_admin(req.headers.get("Authorization"), req.config)
+    data = _json_object(req.body)
     unknown = set(data) - set(PHASES)
     if unknown:
-        raise _HttpError(400, "bad_request", f"unknown record kinds: {sorted(unknown)}")
+        raise _HttpError(400, f"unknown record kinds: {sorted(unknown)}")
     for kind, text in data.items():
         if not isinstance(text, str):
-            raise _HttpError(400, "bad_request", f"{kind} must be a string of records")
+            raise _HttpError(400, f"{kind} must be a string of records")
     try:
         bundle = DatasetBundle.from_texts(data)
     except BundleFormatError as exc:
-        raise _HttpError(400, "bad_request", str(exc)) from None
-    report = load_dataset(bundle, store)
+        raise _HttpError(400, str(exc)) from None
+    report = load_dataset(bundle, req.store)
     return {"schema": SCHEMA, "report": report.to_payload()}
 
 
 def _json_object(body: bytes | None) -> dict:
     if not body:
-        raise _HttpError(400, "bad_request", "request body required")
+        raise _HttpError(400, "request body required")
     try:
         data = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _HttpError(400, "bad_request", f"invalid JSON body: {exc}") from None
+        raise _HttpError(400, f"invalid JSON body: {exc}") from None
     if not isinstance(data, dict):
-        raise _HttpError(400, "bad_request", "body must be a JSON object")
+        raise _HttpError(400, "body must be a JSON object")
     return data
+
+
+#: Every endpoint, in the order of README's endpoint table, which lists the same rows.
+ROUTES = (
+    Route("GET", ("v1", "concepts", "{key}"), (), (), _concept_view),
+    Route("GET", ("v1", "concepts", "{key}", "relations"), ("type", "direction"), (), _relations_view),
+    Route("GET", ("v1", "search"),
+          ("lemma", "form", "pos", "gender", "category", "kind", "limit", "offset"), (), _search_view),
+    Route("GET", ("v1", "graph"), ("seed", "depth", "types"), ("seed",), _graph_view),
+    Route("GET", ("v1", "analogy"), ("a1", "b1", "a2", "k", "max_len"), (), _analogy_view),
+    Route("GET", ("v1", "stats"), (), (),
+          lambda req: {"schema": SCHEMA, "stats": req.store.snapshot().stats().to_payload()}),
+    Route("POST", ("v1", "extract"), (), (), _extract_view),
+    Route("POST", ("v1", "admin", "ingest"), (), (), _admin_ingest),
+)
 
 
 # -- HTTP server --------------------------------------------------------------
@@ -388,32 +386,42 @@ def make_server(store: Store, host: str, port: int, config: ApiConfig = DEFAULT_
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
 
-        def do_GET(self):  # noqa: N802 - BaseHTTPRequestHandler API
-            self._handle("GET")
-
-        def do_POST(self):  # noqa: N802
-            self._handle("POST")
-
-        def _handle(self, method: str) -> None:
+        def _handle(self) -> None:
             started = time.perf_counter()
             raw_length = self.headers.get("Content-Length") or "0"
             framed = raw_length.isascii() and raw_length.isdigit()
             if framed:
-                length = int(raw_length)
-                body = self.rfile.read(length) if length else None
-                status, payload = dispatch(store, method, self.path, body, config, dict(self.headers))
+                body = self.rfile.read(int(raw_length)) or None
+                status, payload = dispatch(store, self.command, self.path, body, config, dict(self.headers))
             else:
-                status, payload = 400, _error_payload("bad_request", f"invalid Content-Length: {raw_length!r}")
+                status, payload = _error(400, f"invalid Content-Length: {raw_length!r}")
+            self._reply(status, payload, close=not framed)  # unframed: the body's end is unknown
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            logger.info("%s %s %d %.1fms", self.command, self.path, status, elapsed_ms)
+
+        # Every method reaches the route table, which answers 405 or 404.
+        do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = do_HEAD = do_OPTIONS = _handle  # noqa: N815
+
+        def send_error(self, code, message=None, explain=None):
+            """``http.server``'s own rejections (bad request line, 414, 431, 501, 505) as JSON."""
+            self.log_error("code %d, message %s", code, message)
+            # An unparsed request line leaves HTTP/0.9, which sends no status line.
+            self.request_version = self.protocol_version
+            self._reply(*_error(code, message or self.responses[code][0]), close=True)
+
+        def _reply(self, status: int, payload: dict, close: bool) -> None:
             raw = serialize_body(payload)
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(raw)))
-            if not framed:  # the body's end is unknown, so the connection cannot be reused
+            if status == 405:
+                routes, _segments = _routes_at(urllib.parse.urlsplit(self.path).path)
+                self.send_header("Allow", ", ".join(route.method for route in routes))
+            if close:
                 self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(raw)
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            logger.info("%s %s %d %.1fms", method, self.path, status, elapsed_ms)
+            if self.command != "HEAD":
+                self.wfile.write(raw)
 
         def log_message(self, fmt, *args):  # default stderr chatter -> logging
             logger.debug(fmt, *args)

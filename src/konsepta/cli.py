@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from .api import ApiConfig, dispatch, serialize_body, serve
+from .api import SCHEMA, ApiConfig, dispatch, serialize_body, serve
 from .extract import DEFAULT_WEIGHTS, DisambiguationWeights
 from .ingest import (
     BundleFormatError,
@@ -133,7 +133,7 @@ def ingest(directory: str, as_json: bool) -> None:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
     if as_json:
-        sys.stdout.buffer.write(serialize_body({"schema": "konsepta/v1", "report": report.to_payload()}))
+        sys.stdout.buffer.write(serialize_body({"schema": SCHEMA, "report": report.to_payload()}))
     else:
         _print_report(report)
     sys.exit(EXIT_OK if report.rejected == 0 else EXIT_DATA)

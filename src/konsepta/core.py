@@ -182,12 +182,6 @@ class Taxonomy:
         self._nodes.add(normalized)
         return True
 
-    def require(self, path: Sequence[str]) -> tuple[str, ...]:
-        normalized = tuple(nfc(seg) for seg in path)
-        if normalized not in self._nodes:
-            raise UnknownCategoryError("/".join(normalized))
-        return normalized
-
     def paths(self) -> list[tuple[str, ...]]:
         return sorted(self._nodes, key="/".join)
 

@@ -340,12 +340,6 @@ class StoreState:
         """Both-direction readings, sorted; the graph modules' workhorse."""
         return tuple(sorted(self._readings(key, BOTH, None)))
 
-    def concepts_in_category(self, path, recursive: bool = False) -> list[str]:
-        """Keys filed exactly under ``path`` (or below it when recursive), by a scan."""
-        path = self.taxonomy.require(path)
-        inside = LookupFilter(category_prefix=path).matches if recursive else lambda c: c.key.path == path
-        return sorted(key for key, concept in self.concepts.items() if inside(concept))
-
     def glyph_lookup(self, glyph: str) -> list[str]:
         return sorted(self._glyph_index.get(nfc(glyph), ()))
 

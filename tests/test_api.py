@@ -2,16 +2,19 @@ import hmac
 import http.client
 import json
 import logging
+import re
+import socket
 import threading
 import time
 import unicodedata
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from konsepta import api, extract, solve_analogy
-from konsepta.api import ApiConfig, dispatch, make_server, serialize_body
+from konsepta.api import ERROR_CODES, ROUTES, ApiConfig, dispatch, make_server, serialize_body
 from konsepta.ingest import SCHEMA_VERSION
 
 FRUIT = "jedlo/ovocie/hruška"
@@ -287,11 +290,25 @@ class TestEnvelope:
             assert json.loads(raw.decode("utf-8"))  # valid JSON, UTF-8
 
     def test_error_payload_carries_exactly_one_error(self, store):
-        for target in ("/v1/concepts/x", "/v1/void", "/v1/search"):
-            _status, payload = dispatch(store, "GET", target)
+        for method, target in (("GET", "/v1/concepts/x"), ("GET", "/v1/void"), ("GET", "/v1/search"),
+                               ("POST", "/v1/stats"), ("POST", "/v1/admin/ingest")):
+            status, payload = dispatch(store, method, target)
             assert set(payload) == {"schema", "error"}
-            assert {"code", "message"} <= set(payload["error"]) <= {"code", "message", "detail"}
-            assert payload["error"]["code"] in ("not_found", "bad_request", "conflict", "internal")
+            assert set(payload["error"]) == {"code", "message"}
+            assert payload["error"]["code"] == ERROR_CODES[status], target
+
+
+class TestRouteTable:
+    def test_readme_endpoint_table_matches_routes(self):
+        """README's endpoint table lists each route: method, path template, query parameters."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = []
+        for endpoint in re.findall(r"^\| `([A-Z]+ /v1/[^`]*)`", readme, re.MULTILINE):
+            method, target = endpoint.split(" ", 1)
+            path, _, query = target.partition("?")
+            names = [pair.split("=")[0] for pair in query.replace("\\|", "&").split("&") if pair]
+            rows.append((method, tuple(path.strip("/").split("/")), names))
+        assert rows == [(r.method, r.template, list(r.params)) for r in ROUTES]
 
 
 class TestTransportTransparency:
@@ -324,7 +341,8 @@ class TestLiveServer:
     @pytest.fixture()
     def server(self, store):
         srv = make_server(store, "127.0.0.1", 0, ApiConfig(admin_token="sezam"))
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        # A short poll interval keeps shutdown() from waiting the default 0.5 s per test.
+        thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         yield srv
         srv.shutdown()
@@ -397,3 +415,53 @@ class TestLiveServer:
             "schema": "konsepta/v1",
             "error": {"code": "bad_request", "message": f"invalid Content-Length: {length!r}"},
         }
+
+    def _exchange(self, server, data: bytes, methods=("GET",)):
+        """Send raw request bytes, read to EOF and split the replies, one per method."""
+        received = b""
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(data)
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except ConnectionResetError:  # the server may close with request bytes unread
+                pass
+        replies = []
+        for method in methods:
+            head, _, received = received.partition(b"\r\n\r\n")
+            status_line, *lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            length = 0 if method == "HEAD" else int(headers["Content-Length"])
+            replies.append((int(status_line.split()[1]), headers, received[:length]))
+            received = received[length:]
+        assert received == b""
+        return replies
+
+    @pytest.mark.parametrize("request_line, status", [
+        ("POST /v1/stats HTTP/1.1", 405),
+        ("PUT /v1/stats HTTP/1.1", 405),
+        ("DELETE /v1/nonsense HTTP/1.1", 404),
+        ("BREW /v1/stats HTTP/1.1", 501),
+        ("GARBAGE", 400),
+        ("GET /v1/stats HTTP/2.0", 505),
+        ("GET /v1/" + "x" * 70_000 + " HTTP/1.1", 414),
+        ("GET /v1/stats HTTP/1.1\r\nX-Long: " + "y" * 70_000, 431),
+    ], ids=["post", "put", "delete", "unknown-method", "garbage", "http2", "long-url", "long-header"])
+    def test_every_reply_is_json(self, server, request_line, status):
+        data = f"{request_line}\r\nHost: x\r\nConnection: close\r\n\r\n".encode()
+        [(got, headers, body)] = self._exchange(server, data)
+        assert got == status
+        assert headers["Content-Type"] == "application/json; charset=utf-8"
+        payload = json.loads(body)
+        assert payload["schema"] == SCHEMA_VERSION
+        assert payload["error"]["code"] == ERROR_CODES[status]
+        assert headers.get("Allow") == ("GET" if status == 405 else None)
+
+    def test_head_sends_no_body_and_keeps_the_connection(self, server, store):
+        data = (b"HEAD /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /v1/stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        (head_status, head_headers, head_body), (status, _, body) = self._exchange(server, data, ("HEAD", "GET"))
+        assert (head_status, head_headers["Allow"], head_body) == (405, "GET", b"")
+        assert "Connection" not in head_headers
+        assert status == 200
+        assert body == serialize_body(get(store, "/v1/stats")[1])

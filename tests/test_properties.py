@@ -141,7 +141,6 @@ class TestDeterminism:
         assert snap.find_by_lemma("hruška") == snap.find_by_lemma("hruška")
         assert snap.find_by_form("hrušky") == snap.find_by_form("hrušky")
         assert snap.neighbors("meno/Miro") == snap.neighbors("meno/Miro")
-        assert snap.concepts_in_category(("rastlina",), True) == snap.concepts_in_category(("rastlina",), True)
         assert snap.mwe_index_entries("vysoká") == snap.mwe_index_entries("vysoká")
         assert snap.edges() == snap.edges()
 

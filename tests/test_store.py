@@ -18,7 +18,6 @@ from konsepta import (
 )
 from konsepta.core import (
     RelationType,
-    UnknownCategoryError,
     UnknownConceptError,
     UnknownEdgeError,
     ValidationError,
@@ -174,34 +173,36 @@ class TestNeighbors:
 
 
 class TestCategories:
+    """``LookupFilter(category_prefix=...)``: a path matches every concept filed under it, at any depth."""
+
+    @staticmethod
+    def _under(snap, path):
+        return sorted(key for key, concept in snap.concepts.items()
+                      if LookupFilter(category_prefix=path).matches(concept))
+
     def test_recursive_includes_deep_concepts(self, snap):
-        keys = snap.concepts_in_category(("rastlina",), recursive=True)
+        keys = self._under(snap, ("rastlina",))
         assert TREE in keys
         assert "rastlina/strom" in keys
 
-    def test_non_recursive_excludes_extensions(self, snap):
-        keys = snap.concepts_in_category(("rastlina",), recursive=False)
-        assert "rastlina/strom" in keys
-        assert TREE not in keys
-
     def test_recursive_superset(self, snap):
         for path in snap.taxonomy.paths():
-            direct = set(snap.concepts_in_category(path))
-            recursive = set(snap.concepts_in_category(path, recursive=True))
-            assert direct <= recursive
+            if len(path) > 1:
+                assert set(self._under(snap, path)) <= set(self._under(snap, path[:-1]))
 
     def test_recursive_equals_prefix_scan(self, snap):
         for path in snap.taxonomy.paths():
-            expected = sorted(
-                key
-                for key, concept in snap.concepts.items()
-                if concept.key.path[: len(path)] == path
-            )
-            assert snap.concepts_in_category(path, recursive=True) == expected
+            for lemma in {concept.key.lemma for concept in snap.concepts.values()}:
+                expected = sorted(
+                    key
+                    for key, concept in snap.concepts.items()
+                    if concept.key.lemma == lemma and concept.key.path[: len(path)] == path
+                )
+                found = snap.find_by_lemma(lemma, LookupFilter(category_prefix=path))
+                assert [c.key.canonical for c in found] == expected, (path, lemma)
 
     def test_unregistered_path(self, snap):
-        with pytest.raises(UnknownCategoryError):
-            snap.concepts_in_category(("vesmír",))
+        assert self._under(snap, ("vesmír",)) == []
 
 
 class TestMweIndex:
@@ -234,7 +235,7 @@ class TestIndexCoherence:
         for key, concept in snap.concepts.items():
             assert snap.get(key) == concept
             assert concept in snap.find_by_lemma(concept.key.lemma)
-            assert key in snap.concepts_in_category((concept.key.path[0],), recursive=True)
+            assert concept in snap.find_by_lemma(concept.key.lemma, LookupFilter(category_prefix=concept.key.path[:1]))
             if concept.kind is ConceptKind.MULTIWORD:
                 first = concept.key.lemma.split()[0]
                 assert any(k == key for _t, k in snap.mwe_index_entries(first))
