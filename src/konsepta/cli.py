@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 import urllib.parse
 from pathlib import Path
@@ -37,11 +38,19 @@ EXIT_DATA = 3
 
 
 def load_weights(path: str | Path) -> DisambiguationWeights:
-    """Disambiguation weights from a JSON file of field overrides."""
+    """Disambiguation weights from a JSON file of field overrides.
+
+    Raises ``TypeError`` for an unknown field and ``ValueError`` for a value
+    that is not a finite number.
+    """
     overrides = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(overrides, dict):
         raise ValueError("weights file must be a JSON object")
-    return DisambiguationWeights(**overrides)
+    weights = DisambiguationWeights(**overrides)
+    for name, value in overrides.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"weight {name!r} must be a finite number, got {value!r}")
+    return weights
 
 
 class CliEnv:

@@ -285,7 +285,9 @@ def disambiguate(
     Each candidate scores a fixed weighted sum: match level base, POS and
     gender agreement with the form that produced the lemma reading, plus a
     context term proportional to the share of other annotations having a
-    candidate under the same top-level taxonomy branch.  Ties break towards
+    candidate under the same top-level taxonomy branch.  A candidate's base
+    is the best over its derivations, and only the sum is clamped to
+    [0, 1], so a negative weight lowers the score.  Ties break towards
     the deeper taxonomy path, then canonical key order.  The match level is
     the best level among the chosen concept's derivations.  Idempotent.
     """
@@ -308,7 +310,7 @@ def disambiguate(
                 base += weights.pos_agreement
             if derivation.form_gender is not Gender.UNSPECIFIED:
                 base += weights.gender_agreement
-            per_key[derivation.key] = max(per_key.get(derivation.key, 0.0), base)
+            per_key[derivation.key] = max(per_key.get(derivation.key, base), base)
         scored = []
         for key, base in per_key.items():
             path = paths[key]

@@ -1,11 +1,20 @@
 """In-memory indexed concept store.
 
-Reads run against an immutable :class:`StoreState` snapshot; writes clone
-the current state, mutate the clone and publish it with one atomic pointer
+Reads run against a sealed :class:`StoreState` snapshot; writes clone the
+current state, mutate the clone and publish it with one atomic pointer
 swap.  Readers therefore never see a half-updated index set, and a snapshot
 handle stays internally consistent for its whole lifetime.  Writers
 serialize on a lock; any exception inside a write transaction discards the
 clone and leaves the store untouched.
+
+A write costs what it touches, not what the store holds (structural
+sharing, as in Bagwell's "Ideal Hash Trees", at its simplest: two levels
+of copy-on-write).  The clone shares every table and index bucket with its
+base; a mutator copies a table, and then a bucket, the first time the
+transaction writes to it, and at most once.  The multiword table is patched
+at commit for the first tokens the transaction changed, not rebuilt.
+Because tables and buckets are shared, a committed snapshot is sealed: its
+mutators raise.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .core import (
     ConceptKey,
     ConceptKind,
     Gender,
+    KonseptaError,
     PartOfSpeech,
     RelationEdge,
     RelationRegistry,
@@ -100,19 +110,23 @@ def _bump(counter: dict[str, int], key: str, delta: int) -> None:
         counter.pop(key, None)
 
 
-def _discard(index: dict, name, item) -> None:
-    bucket = index[name]
-    bucket.discard(item)
-    if not bucket:
-        del index[name]
+def _first_token(concept: Concept) -> str:
+    """The folded first token of a multiword lemma; fixed, as the lemma is part of the key."""
+    return fold(concept.key.lemma.split()[0])
+
+
+#: The tables a transaction shares with its base until its first write to
+#: them; the last five are indexes whose set buckets are shared likewise.
+_SHARED = ("concepts", "forms", "_edges", "_lemma_index", "_form_index", "_glyph_index", "_adj", "_mwe_first")
 
 
 class StoreState:
     """One consistent snapshot of the dictionary, with all indexes.
 
     Mutators may only be called from inside a :meth:`Store.write`
-    transaction; after the transaction commits the object is never touched
-    again.
+    transaction.  When the transaction commits the state is sealed, and
+    every mutator raises :class:`KonseptaError`: its tables and buckets may
+    be shared with older and newer snapshots.
     """
 
     def __init__(self) -> None:
@@ -125,43 +139,111 @@ class StoreState:
         self._glyph_index: dict[str, set[str]] = {}
         self._edges: dict[EdgeKey, RelationEdge] = {}
         self._adj: dict[str, set[EdgeKey]] = {}
+        # Folded first token -> multiword concept keys; feeds the patch in freeze().
+        self._mwe_first: dict[str, set[str]] = {}
         # Incremental counters; tests audit them against a full rescan.
         self._by_pos: dict[str, int] = {}
         self._by_kind: dict[str, int] = {}
         self._by_type: dict[str, int] = {}
-        # Derived lookup table built when a write transaction commits.
+        # Derived lookup table, patched when a write transaction commits.
         self._mwe_buckets: dict[str, tuple[str, ...]] = {}
+        # Table name -> the base snapshot's table.  A table or bucket that is
+        # still the base's own object is shared and is copied before a write;
+        # the base is sealed and alive, so identity is stable.  None once
+        # this state is sealed.
+        self._shared: dict[str, dict] | None = {name: {} for name in _SHARED}
+        # First token -> (its multiword bucket names, its keys) as the
+        # multiword table last saw them, for each first token changed since.
+        self._dirty: dict[str, tuple[set[str], tuple[str, ...]]] = {}
 
     # -- write-transaction plumbing -----------------------------------------
 
     def clone(self) -> "StoreState":
+        """An open copy of this sealed snapshot that shares every table and bucket.
+
+        Copies only the taxonomy, the registry and the counters.  A table is
+        copied on the transaction's first write to it (:meth:`_table`), an
+        index bucket likewise (:meth:`_bucket`), and the multiword table on
+        the first patch (:meth:`freeze`).
+        """
         fresh = StoreState()
         fresh.taxonomy = self.taxonomy.clone()
         fresh.registry = self.registry.clone()
-        fresh.concepts = dict(self.concepts)
-        fresh.forms = dict(self.forms)
-        fresh._lemma_index = {k: set(v) for k, v in self._lemma_index.items()}
-        fresh._form_index = {k: set(v) for k, v in self._form_index.items()}
-        fresh._glyph_index = {k: set(v) for k, v in self._glyph_index.items()}
-        fresh._edges = dict(self._edges)
-        fresh._adj = {k: set(v) for k, v in self._adj.items()}
         fresh._by_pos = dict(self._by_pos)
         fresh._by_kind = dict(self._by_kind)
         fresh._by_type = dict(self._by_type)
+        fresh._mwe_buckets = self._mwe_buckets
+        fresh._shared = {name: getattr(self, name) for name in _SHARED}
+        for name, table in fresh._shared.items():
+            setattr(fresh, name, table)
         return fresh
 
     def freeze(self) -> None:
-        """Build the multiword table; called once when a transaction commits."""
-        buckets: dict[str, set[str]] = {}
-        for key, concept in self.concepts.items():
-            if concept.kind is ConceptKind.MULTIWORD:
-                for name in self.token_readings(concept.key.lemma.split()[0]):
-                    buckets.setdefault(name, set()).add(key)
-        self._mwe_buckets = {name: tuple(sorted(keys)) for name, keys in buckets.items()}
+        """Patch the multiword table; called once when a transaction commits.
+
+        A bucket holds the keys of every first token that reads as its name,
+        and each key has one first token, so a changed first token is patched
+        on its own: its old keys leave the buckets of its old readings, and
+        its current keys join the buckets of its current readings.  Buckets of
+        untouched first tokens stay shared with the base snapshot.
+        """
+        if not self._dirty:
+            return
+        patched: dict[str, set[str]] = {}
+        for first, (old_names, old_keys) in self._dirty.items():
+            keys = self._mwe_first.get(first, ())
+            for name in old_names:
+                patched.setdefault(name, set(self._mwe_buckets.get(name, ()))).difference_update(old_keys)
+            for name in self.token_readings(first) if keys else ():
+                patched.setdefault(name, set(self._mwe_buckets.get(name, ()))).update(keys)
+        buckets = dict(self._mwe_buckets)
+        for name, keys in patched.items():
+            if keys:
+                buckets[name] = tuple(sorted(keys))
+            else:
+                buckets.pop(name, None)
+        self._mwe_buckets = buckets
+        self._dirty = {}
+
+    def _seal(self) -> None:
+        self._shared = None
+
+    def _check_open(self) -> None:
+        if self._shared is None:
+            raise KonseptaError("snapshot is sealed; write inside Store.write()")
+
+    def _table(self, name: str) -> dict:
+        """The writable table ``name``, copied on this state's first write to it."""
+        table = getattr(self, name)
+        if table is self._shared[name]:
+            table = dict(table)
+            setattr(self, name, table)
+        return table
+
+    def _bucket(self, index: str, name) -> set:
+        """The writable bucket ``name`` of ``index``, copied on this state's first write to it."""
+        table = self._table(index)
+        bucket = table.get(name)
+        if bucket is None or bucket is self._shared[index].get(name):
+            table[name] = bucket = set(bucket or ())
+        return bucket
+
+    def _discard(self, index: str, name, item) -> None:
+        bucket = self._bucket(index, name)
+        bucket.discard(item)
+        if not bucket:
+            del getattr(self, index)[name]
+
+    def _touch_first_token(self, first: str) -> None:
+        """Remember what the multiword table holds for ``first`` before it changes."""
+        if first not in self._dirty:
+            keys = tuple(self._mwe_first.get(first, ()))
+            self._dirty[first] = (self.token_readings(first) if keys else set(), keys)
 
     # -- mutators -------------------------------------------------------------
 
     def upsert_concept(self, concept: Concept) -> str:
+        self._check_open()
         problems = validate_concept(concept)
         key = concept.key
         if key.path not in self.taxonomy:
@@ -174,22 +256,31 @@ class StoreState:
             return "unchanged"
         if old is not None:
             self._unindex_concept(canonical, old)
-        self.concepts[canonical] = concept
-        self._lemma_index.setdefault(fold(key.lemma), set()).add(canonical)
+        self._table("concepts")[canonical] = concept
+        self._bucket("_lemma_index", fold(key.lemma)).add(canonical)
         if concept.glyph:
-            self._glyph_index.setdefault(concept.glyph, set()).add(canonical)
+            self._bucket("_glyph_index", concept.glyph).add(canonical)
+        if concept.kind is ConceptKind.MULTIWORD:
+            first = _first_token(concept)
+            self._touch_first_token(first)
+            self._bucket("_mwe_first", first).add(canonical)
         _bump(self._by_pos, _pos_key(concept.pos), 1)
         _bump(self._by_kind, concept.kind.value, 1)
         return "updated" if old is not None else "inserted"
 
     def _unindex_concept(self, canonical: str, concept: Concept) -> None:
-        _discard(self._lemma_index, fold(concept.key.lemma), canonical)
+        self._discard("_lemma_index", fold(concept.key.lemma), canonical)
         if concept.glyph:
-            _discard(self._glyph_index, concept.glyph, canonical)
+            self._discard("_glyph_index", concept.glyph, canonical)
+        if concept.kind is ConceptKind.MULTIWORD:
+            first = _first_token(concept)
+            self._touch_first_token(first)
+            self._discard("_mwe_first", first, canonical)
         _bump(self._by_pos, _pos_key(concept.pos), -1)
         _bump(self._by_kind, concept.kind.value, -1)
 
     def remove_concept(self, key: str | ConceptKey) -> None:
+        self._check_open()
         canonical = self._canonical(key)
         concept = self.concepts.get(canonical)
         if concept is None:
@@ -197,18 +288,24 @@ class StoreState:
         for edge_key in list(self._adj.get(canonical, ())):
             self._drop_edge(edge_key)
         self._unindex_concept(canonical, concept)
-        del self.concepts[canonical]
+        del self._table("concepts")[canonical]
 
     def upsert_form(self, form: WordForm) -> str:
+        self._check_open()
         identity = form.identity
         old = self.forms.get(identity)
         if old == form:
             return "unchanged"
-        self.forms[identity] = form
-        self._form_index.setdefault(fold(form.surface), set()).add(identity)
+        surface = fold(form.surface)
+        if surface in self._mwe_first:
+            # The form may add a reading to a multiword first token.
+            self._touch_first_token(surface)
+        self._table("forms")[identity] = form
+        self._bucket("_form_index", surface).add(identity)
         return "updated" if old is not None else "inserted"
 
     def upsert_relation(self, source: str, target: str, type_name: str) -> str:
+        self._check_open()
         edge = canonical_edge(source, target, type_name, self.registry)
         for endpoint in (edge.source, edge.target):
             if endpoint not in self.concepts:
@@ -216,13 +313,14 @@ class StoreState:
         edge_key = (edge.source, edge.target, edge.type)
         if edge_key in self._edges:
             return "unchanged"
-        self._edges[edge_key] = edge
-        self._adj.setdefault(edge.source, set()).add(edge_key)
-        self._adj.setdefault(edge.target, set()).add(edge_key)
+        self._table("_edges")[edge_key] = edge
+        self._bucket("_adj", edge.source).add(edge_key)
+        self._bucket("_adj", edge.target).add(edge_key)
         _bump(self._by_type, edge.type, 1)
         return "inserted"
 
     def remove_relation(self, source: str, target: str, type_name: str) -> None:
+        self._check_open()
         edge = canonical_edge(source, target, type_name, self.registry)
         edge_key = (edge.source, edge.target, edge.type)
         if edge_key not in self._edges:
@@ -230,9 +328,9 @@ class StoreState:
         self._drop_edge(edge_key)
 
     def _drop_edge(self, edge_key: EdgeKey) -> None:
-        edge = self._edges.pop(edge_key)
-        _discard(self._adj, edge.source, edge_key)
-        _discard(self._adj, edge.target, edge_key)
+        edge = self._table("_edges").pop(edge_key)
+        self._discard("_adj", edge.source, edge_key)
+        self._discard("_adj", edge.target, edge_key)
         _bump(self._by_type, edge.type, -1)
 
     # -- reads ----------------------------------------------------------------
@@ -377,16 +475,26 @@ class Store:
 
     def __init__(self) -> None:
         self._state = StoreState()
+        self._state._seal()
         self._write_lock = threading.Lock()
 
     def snapshot(self) -> StoreState:
+        """The published state; sealed, so only read it."""
         return self._state
 
     @contextmanager
     def write(self):
-        """Yield a private clone to mutate; publish it when the block exits cleanly."""
+        """Yield a private clone to mutate; publish it when the block exits cleanly.
+
+        The clone shares every table and index bucket with the published
+        snapshot and copies one only when a mutator first writes to it, so
+        the cost grows with what the transaction touches.  On commit,
+        ``freeze`` patches the multiword buckets of the first tokens it
+        changed, and the new state is sealed before it is published.
+        """
         with self._write_lock:
             work = self._state.clone()
             yield work
             work.freeze()
+            work._seal()
             self._state = work

@@ -210,3 +210,28 @@ class TestWeightsFile:
         path.write_text('{"charisma": 1.0}', encoding="utf-8")
         with pytest.raises(TypeError):
             load_weights(path)
+
+    @pytest.mark.parametrize("value", ['"0.2"', "true", "null", "NaN", "Infinity", "-Infinity", "[0.2]"])
+    def test_non_numeric_value_rejected(self, tmp_path, value):
+        from konsepta.cli import load_weights
+
+        path = tmp_path / "weights.json"
+        path.write_text(f'{{"lemma": {value}}}', encoding="utf-8")
+        with pytest.raises(ValueError, match="'lemma'"):
+            load_weights(path)
+
+    def test_integer_value_accepted(self, tmp_path):
+        from konsepta.cli import load_weights
+
+        path = tmp_path / "weights.json"
+        path.write_text('{"context": 0, "lemma": -1}', encoding="utf-8")
+        weights = load_weights(path)
+        assert (weights.context, weights.lemma) == (0, -1)
+
+    def test_serve_refuses_bad_value(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("konsepta.cli.serve", lambda *args: pytest.fail("served with bad weights"))
+        path = tmp_path / "weights.json"
+        path.write_text('{"lemma": "0.2"}', encoding="utf-8")
+        result = run(runner, ["serve", "--addr", "127.0.0.1:0", "--weights", str(path)])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: bad weights file: weight 'lemma'")

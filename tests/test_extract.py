@@ -16,6 +16,7 @@ from konsepta import (
 )
 from konsepta.extract import (
     DEFAULT_WEIGHTS,
+    DisambiguationWeights,
     MatchLevel,
     TokenClass,
 )
@@ -281,13 +282,14 @@ class TestOracleEquivalence:
 class TestScoringOracle:
     """Scores, ``chosen`` and ``match_level`` agree with the quadratic reference in ``oracles``."""
 
-    def _assert_scores_match_oracle(self, text, snap, raw):
-        annotations = extract(text, snap)
+    def _assert_scores_match_oracle(self, text, snap, raw, weights=DEFAULT_WEIGHTS):
+        annotations = extract(text, snap, weights)
         got = [
             (tuple((c.key, c.score) for c in a.candidates), a.chosen, a.match_level.value)
             for a in annotations
         ]
-        assert got == oracles.score_oracle(annotations, raw, DEFAULT_WEIGHTS), repr(text)
+        assert got == oracles.score_oracle(annotations, raw, weights), repr(text)
+        return got
 
     def test_mixed_match_levels(self, fresh_store):
         # A lemma that is also a form of other lemmas: one surface and two lemma derivations.
@@ -298,6 +300,12 @@ class TestScoringOracle:
         assert ann.derivations[0].level is MatchLevel.SURFACE
         assert (ann.chosen, ann.match_level) == (FRUIT, MatchLevel.LEMMA)
         self._assert_scores_match_oracle("hrušky, jablko a hrušky", snap, oracles.parse_raw(export_dataset(snap)))
+
+    def test_negative_weight_lowers_the_score(self, snap, raw):
+        # The clamp applies to the sum only: -0.5 + context 0.3 clamps to 0.
+        weights = DisambiguationWeights(lemma=-0.5, pos_agreement=0, gender_agreement=0)
+        hrusky = self._assert_scores_match_oracle("hrušky a jablko", snap, raw, weights)[0]
+        assert dict(hrusky[0])[FRUIT] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_texts(self, seed, snap, raw):

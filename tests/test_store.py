@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from konsepta import (
     load_dataset,
 )
 from konsepta.core import (
+    KonseptaError,
     RelationType,
     UnknownConceptError,
     UnknownEdgeError,
@@ -29,6 +31,8 @@ import oracles
 
 FRUIT = "jedlo/ovocie/hruška"
 TREE = "rastlina/strom/hruška"
+#: Every index a write transaction maintains in place.
+RAW_INDEXES = ("_lemma_index", "_form_index", "_glyph_index", "_adj", "_mwe_first", "_mwe_buckets")
 
 
 class TestGet:
@@ -310,6 +314,91 @@ class TestMutation:
         assert export_dataset(fresh_store.snapshot()) == before
 
 
+def _first_edge(state):
+    edge = state.edges()[0]
+    return edge.source, edge.target, edge.type
+
+
+CAT = Concept(ConceptKey(("zviera",), "mačka"), ConceptKind.WORD, PartOfSpeech.NOUN, gender=Gender.FEMININE)
+HIGH_MOUNTAIN = Concept(
+    ConceptKey(("veda", "škola"), "vysoká hora"), ConceptKind.MULTIWORD, PartOfSpeech.NOUN, gender=Gender.FEMININE
+)
+
+
+class TestSealedSnapshot:
+    """A committed snapshot shares tables and buckets with other snapshots, so it takes no writes."""
+
+    MUTATIONS = {
+        "upsert_concept": lambda s: s.upsert_concept(CAT),
+        "remove_concept": lambda s: s.remove_concept(TREE),
+        "upsert_form": lambda s: s.upsert_form(WordForm("mačky", "mačka", PartOfSpeech.NOUN, Gender.FEMININE, "pl.nom")),
+        "upsert_relation": lambda s: s.upsert_relation("zviera/pes", "meno/Miro", "related"),
+        "remove_relation": lambda s: s.remove_relation(*_first_edge(s)),
+    }
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATIONS))
+    def test_committed_snapshot_rejects_writes(self, fresh_store, mutator):
+        snap = fresh_store.snapshot()
+        before = export_dataset(snap)
+        with pytest.raises(KonseptaError, match="sealed"):
+            self.MUTATIONS[mutator](snap)
+        assert fresh_store.snapshot() is snap
+        assert export_dataset(snap) == before
+
+    def test_empty_store_is_sealed(self):
+        with pytest.raises(KonseptaError, match="sealed"):
+            Store().snapshot().upsert_concept(CAT)
+
+
+class TestCopyOnWrite:
+    """A one-record write copies only the tables and buckets it touches; the rest stay shared.
+
+    A touched table is named with the bucket ``None``.
+    """
+
+    WRITES = {
+        "word concept": (lambda s: s.upsert_concept(CAT), {("concepts", None), ("_lemma_index", "mačka")}),
+        "relation": (
+            lambda s: s.upsert_relation("zviera/pes", "meno/Miro", "related"),
+            {("_edges", None), ("_adj", "zviera/pes"), ("_adj", "meno/Miro")},
+        ),
+        "multiword concept": (
+            lambda s: s.upsert_concept(HIGH_MOUNTAIN),
+            {("concepts", None), ("_lemma_index", "vysoká hora"), ("_mwe_first", "vysoká"),
+             ("_mwe_buckets", "vysoká"), ("_mwe_buckets", "vysoký")},
+        ),
+        # A new lemma for a multiword first token: a new reading, so its buckets are patched.
+        "form of a first token": (
+            lambda s: s.upsert_form(WordForm("vysoká", "vysokánsky", PartOfSpeech.ADJECTIVE, Gender.FEMININE, "")),
+            {("forms", None), ("_form_index", "vysoká"), ("_mwe_buckets", "vysoká"), ("_mwe_buckets", "vysoký"),
+             ("_mwe_buckets", "vysokánsky")},
+        ),
+    }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_untouched_tables_and_buckets_are_shared(self, fresh_store, write):
+        apply, touched = self.WRITES[write]
+        base = fresh_store.snapshot()
+        with fresh_store.write() as state:
+            apply(state)
+        snap = fresh_store.snapshot()
+        tables = {table for table, _name in touched}
+        for table in ("concepts", "forms", "_edges") + RAW_INDEXES:
+            assert (getattr(snap, table) is getattr(base, table)) == (table not in tables), table
+        for index in RAW_INDEXES:
+            old, new = getattr(base, index), getattr(snap, index)
+            for name, bucket in old.items():
+                assert (new.get(name) is bucket) == ((index, name) not in touched), (index, name)
+            assert {(index, name) for name in new.keys() - old.keys()} <= touched, index
+
+    def test_bucket_copied_once_per_transaction(self, fresh_store):
+        with fresh_store.write() as state:
+            state.upsert_relation("zviera/pes", "meno/Miro", "related")
+            bucket = state._adj["zviera/pes"]
+            state.upsert_relation("zviera/pes", "meno/Miroslav", "related")
+            assert state._adj["zviera/pes"] is bucket
+
+
 class TestConcurrency:
     def test_readers_see_consistent_snapshots_during_writes(self, fresh_store):
         import threading
@@ -484,14 +573,34 @@ class TestRebuildEquality:
         for glyph in self.GLYPHS:
             assert snap.glyph_lookup(glyph) == fresh.glyph_lookup(glyph), (where, glyph)
         assert snap.stats() == fresh.stats(), where
-        # The raw indexes too: no bucket left empty by a removal.
-        for index in ("_lemma_index", "_form_index", "_glyph_index", "_adj"):
+        # The raw indexes too: no bucket left empty by a removal, and the
+        # patched multiword table equal to one built from scratch.
+        for index in RAW_INDEXES:
             assert getattr(snap, index) == getattr(fresh, index), (where, index)
 
     def test_random_transactions_match_rebuild(self, fresh_store):
         rng = random.Random(5005)
+        # Mutations of transactions that fail; drawn apart, so rng's sequence is the committed one.
+        spoiler = random.Random(6006)
         for step in range(60):
+            before = fresh_store.snapshot()
+            text = export_dataset(before)
+            indexes = {index: copy.deepcopy(getattr(before, index)) for index in RAW_INDEXES}
+            with pytest.raises(_Abort), fresh_store.write() as state:
+                for _ in range(spoiler.randint(1, 4)):
+                    self._apply(state, spoiler)
+                raise _Abort
+            assert fresh_store.snapshot() is before, step
             with fresh_store.write() as state:
                 for _ in range(rng.randint(1, 4)):
                     self._apply(state, rng)
+            # The snapshot the transactions started from shares buckets with
+            # both; neither may have written into them.
+            assert export_dataset(before) == text, step
+            for index, saved in indexes.items():
+                assert getattr(before, index) == saved, (step, index)
             self._assert_equal_to_rebuild(fresh_store.snapshot(), step)
+
+
+class _Abort(Exception):
+    pass
