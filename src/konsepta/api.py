@@ -40,10 +40,13 @@ from .store import BOTH, INCOMING, OUTGOING, LookupFilter, Store
 #: Page size of ``/v1/search`` when the request gives no ``limit``.
 DEFAULT_LIMIT = 50
 
+#: The largest request body the server reads; a larger declared length gets 413 unread.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 #: The one error code of each status; fixed, as ``HTTPStatus`` phrases vary by Python version.
 ERROR_CODES = {
-    400: "bad_request", 401: "unauthorized", 403: "forbidden", 404: "not_found",
-    405: "method_not_allowed", 414: "uri_too_long", 431: "request_header_fields_too_large",
+    400: "bad_request", 401: "unauthorized", 403: "forbidden", 404: "not_found", 405: "method_not_allowed",
+    413: "content_too_large", 414: "uri_too_long", 431: "request_header_fields_too_large",
     500: "internal", 501: "not_implemented", 505: "http_version_not_supported",
 }
 
@@ -196,10 +199,8 @@ def _concept_view(req: _Request) -> dict:
             "gender": None if f.gender is Gender.UNSPECIFIED else f.gender.value,
             "tags": f.tags or None,
         }
-        for f in sorted(
-            (f for f in state.forms.values() if form_matches_concept(f, concept)),
-            key=lambda f: f.identity,
-        )
+        for f in state.forms_by_lemma(concept.key.lemma)
+        if form_matches_concept(f, concept)
     ]
     counts = Counter(label for label, _ in state.as_read_neighbors(concept.key.canonical))
     payload["relations"] = [
@@ -396,12 +397,17 @@ def make_server(store: Store, host: str, port: int, config: ApiConfig = DEFAULT_
             started = time.perf_counter()
             raw_length = self.headers.get("Content-Length") or "0"
             framed = raw_length.isascii() and raw_length.isdigit()
-            if framed:
-                body = self.rfile.read(int(raw_length)) or None
+            digits = raw_length.lstrip("0") or "0"
+            # Digit count first: int() refuses a string of over 4,300 digits.
+            fits = framed and len(digits) <= len(str(MAX_BODY_BYTES)) and int(digits) <= MAX_BODY_BYTES
+            if fits:
+                body = self.rfile.read(int(digits)) or None
                 status, payload = dispatch(store, self.command, self.path, body, config, dict(self.headers))
+            elif framed:
+                status, payload = _error(413, f"request body over the {MAX_BODY_BYTES}-byte limit")
             else:
                 status, payload = _error(400, f"invalid Content-Length: {raw_length!r}")
-            self._reply(status, payload, close=not framed)  # unframed: the body's end is unknown
+            self._reply(status, payload, close=not fits)  # an unread body's end is unknown
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             logger.info("%s %s %d %.1fms", self.command, self.path, status, elapsed_ms)
 

@@ -149,7 +149,20 @@ def parse_concept_key(s: str) -> ConceptKey:
     return ConceptKey(tuple(parts[:-1]), parts[-1])
 
 
-class Taxonomy:
+class _Sealable:
+    """Part of a snapshot; once the snapshot commits, :meth:`seal` makes its writes raise."""
+
+    _sealed = False
+
+    def seal(self) -> None:
+        self._sealed = True
+
+    def _check_open(self) -> None:
+        if self._sealed:
+            raise KonseptaError(f"{type(self).__name__} of a committed snapshot is sealed; write inside Store.write()")
+
+
+class Taxonomy(_Sealable):
     """Forest of registered category paths.
 
     Registration requires the parent chain to exist, which keeps every stored
@@ -167,6 +180,7 @@ class Taxonomy:
 
     def register(self, path: Sequence[str]) -> bool:
         """Register a category; returns False when it already existed."""
+        self._check_open()
         normalized = tuple(nfc(seg) for seg in path)
         if not normalized:
             raise KeyFormatError("empty category path")
@@ -186,6 +200,7 @@ class Taxonomy:
         return sorted(self._nodes, key="/".join)
 
     def clone(self) -> "Taxonomy":
+        """A writable copy, even of a sealed one."""
         fresh = Taxonomy()
         fresh._nodes = set(self._nodes)
         return fresh
@@ -215,8 +230,8 @@ class RelationType:
         object.__setattr__(self, "inverse", inverse)
 
 
-class RelationRegistry:
-    """Registry of relation types, read-only after a dataset loads."""
+class RelationRegistry(_Sealable):
+    """Registry of relation types; a committed snapshot's is sealed."""
 
     def __init__(self) -> None:
         self._types: dict[str, RelationType] = {}
@@ -241,6 +256,7 @@ class RelationRegistry:
 
     def upsert(self, rt: RelationType) -> str:
         """Insert or replace a type; returns the disposition."""
+        self._check_open()
         old = self._types.get(rt.name)
         if old == rt:
             return "unchanged"
@@ -248,6 +264,7 @@ class RelationRegistry:
         return "updated" if old is not None else "inserted"
 
     def remove(self, name: str) -> None:
+        self._check_open()
         self._types.pop(name, None)
 
     def pairing_problems(self) -> dict[str, str]:
@@ -278,6 +295,7 @@ class RelationRegistry:
         return rt.inverse
 
     def clone(self) -> "RelationRegistry":
+        """A writable copy, even of a sealed one."""
         fresh = RelationRegistry()
         fresh._types = dict(self._types)
         return fresh

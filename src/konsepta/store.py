@@ -11,10 +11,11 @@ A write costs what it touches, not what the store holds (structural
 sharing, as in Bagwell's "Ideal Hash Trees", at its simplest: two levels
 of copy-on-write).  The clone shares every table and index bucket with its
 base; a mutator copies a table, and then a bucket, the first time the
-transaction writes to it, and at most once.  The multiword table is patched
-at commit for the first tokens the transaction changed, not rebuilt.
-Because tables and buckets are shared, a committed snapshot is sealed: its
-mutators raise.
+transaction writes to it, and at most once.  Every index is kept by the
+mutators; nothing is derived at commit.  Multiword lookup joins two of
+them when it is read.  Because tables and buckets are shared, a committed
+snapshot is sealed: its mutators, and those of its taxonomy and registry,
+raise.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def _first_token(concept: Concept) -> str:
 
 
 #: The tables a transaction shares with its base until its first write to
-#: them; the last five are indexes whose set buckets are shared likewise.
-_SHARED = ("concepts", "forms", "_edges", "_lemma_index", "_form_index", "_glyph_index", "_adj", "_mwe_first")
+#: them; the last six are indexes whose set buckets are shared likewise.
+_SHARED = ("concepts", "forms", "_edges", "_lemma_index", "_form_index", "_form_lemma_index", "_glyph_index",
+           "_adj", "_mwe_first")
 
 
 class StoreState:
@@ -136,25 +138,22 @@ class StoreState:
         self.forms: dict[FormKey, WordForm] = {}
         self._lemma_index: dict[str, set[str]] = {}
         self._form_index: dict[str, set[FormKey]] = {}
+        # Folded lemma -> keys of the forms of that lemma.
+        self._form_lemma_index: dict[str, set[FormKey]] = {}
         self._glyph_index: dict[str, set[str]] = {}
         self._edges: dict[EdgeKey, RelationEdge] = {}
         self._adj: dict[str, set[EdgeKey]] = {}
-        # Folded first token -> multiword concept keys; feeds the patch in freeze().
+        # Folded first token -> multiword concept keys.
         self._mwe_first: dict[str, set[str]] = {}
         # Incremental counters; tests audit them against a full rescan.
         self._by_pos: dict[str, int] = {}
         self._by_kind: dict[str, int] = {}
         self._by_type: dict[str, int] = {}
-        # Derived lookup table, patched when a write transaction commits.
-        self._mwe_buckets: dict[str, tuple[str, ...]] = {}
         # Table name -> the base snapshot's table.  A table or bucket that is
         # still the base's own object is shared and is copied before a write;
         # the base is sealed and alive, so identity is stable.  None once
         # this state is sealed.
         self._shared: dict[str, dict] | None = {name: {} for name in _SHARED}
-        # First token -> (its multiword bucket names, its keys) as the
-        # multiword table last saw them, for each first token changed since.
-        self._dirty: dict[str, tuple[set[str], tuple[str, ...]]] = {}
 
     # -- write-transaction plumbing -----------------------------------------
 
@@ -162,9 +161,8 @@ class StoreState:
         """An open copy of this sealed snapshot that shares every table and bucket.
 
         Copies only the taxonomy, the registry and the counters.  A table is
-        copied on the transaction's first write to it (:meth:`_table`), an
-        index bucket likewise (:meth:`_bucket`), and the multiword table on
-        the first patch (:meth:`freeze`).
+        copied on the transaction's first write to it (:meth:`_table`), and
+        an index bucket likewise (:meth:`_bucket`).
         """
         fresh = StoreState()
         fresh.taxonomy = self.taxonomy.clone()
@@ -172,41 +170,21 @@ class StoreState:
         fresh._by_pos = dict(self._by_pos)
         fresh._by_kind = dict(self._by_kind)
         fresh._by_type = dict(self._by_type)
-        fresh._mwe_buckets = self._mwe_buckets
         fresh._shared = {name: getattr(self, name) for name in _SHARED}
         for name, table in fresh._shared.items():
             setattr(fresh, name, table)
         return fresh
 
     def freeze(self) -> None:
-        """Patch the multiword table; called once when a transaction commits.
+        """Seal this state; called once when a transaction commits, and on a new store's empty state.
 
-        A bucket holds the keys of every first token that reads as its name,
-        and each key has one first token, so a changed first token is patched
-        on its own: its old keys leave the buckets of its old readings, and
-        its current keys join the buckets of its current readings.  Buckets of
-        untouched first tokens stay shared with the base snapshot.
+        After it, the mutators of the state, its taxonomy and its registry
+        raise :class:`KonseptaError`, and the state no longer holds its
+        base's tables.
         """
-        if not self._dirty:
-            return
-        patched: dict[str, set[str]] = {}
-        for first, (old_names, old_keys) in self._dirty.items():
-            keys = self._mwe_first.get(first, ())
-            for name in old_names:
-                patched.setdefault(name, set(self._mwe_buckets.get(name, ()))).difference_update(old_keys)
-            for name in self.token_readings(first) if keys else ():
-                patched.setdefault(name, set(self._mwe_buckets.get(name, ()))).update(keys)
-        buckets = dict(self._mwe_buckets)
-        for name, keys in patched.items():
-            if keys:
-                buckets[name] = tuple(sorted(keys))
-            else:
-                buckets.pop(name, None)
-        self._mwe_buckets = buckets
-        self._dirty = {}
-
-    def _seal(self) -> None:
         self._shared = None
+        self.taxonomy.seal()
+        self.registry.seal()
 
     def _check_open(self) -> None:
         if self._shared is None:
@@ -234,12 +212,6 @@ class StoreState:
         if not bucket:
             del getattr(self, index)[name]
 
-    def _touch_first_token(self, first: str) -> None:
-        """Remember what the multiword table holds for ``first`` before it changes."""
-        if first not in self._dirty:
-            keys = tuple(self._mwe_first.get(first, ()))
-            self._dirty[first] = (self.token_readings(first) if keys else set(), keys)
-
     # -- mutators -------------------------------------------------------------
 
     def upsert_concept(self, concept: Concept) -> str:
@@ -261,9 +233,7 @@ class StoreState:
         if concept.glyph:
             self._bucket("_glyph_index", concept.glyph).add(canonical)
         if concept.kind is ConceptKind.MULTIWORD:
-            first = _first_token(concept)
-            self._touch_first_token(first)
-            self._bucket("_mwe_first", first).add(canonical)
+            self._bucket("_mwe_first", _first_token(concept)).add(canonical)
         _bump(self._by_pos, _pos_key(concept.pos), 1)
         _bump(self._by_kind, concept.kind.value, 1)
         return "updated" if old is not None else "inserted"
@@ -273,9 +243,7 @@ class StoreState:
         if concept.glyph:
             self._discard("_glyph_index", concept.glyph, canonical)
         if concept.kind is ConceptKind.MULTIWORD:
-            first = _first_token(concept)
-            self._touch_first_token(first)
-            self._discard("_mwe_first", first, canonical)
+            self._discard("_mwe_first", _first_token(concept), canonical)
         _bump(self._by_pos, _pos_key(concept.pos), -1)
         _bump(self._by_kind, concept.kind.value, -1)
 
@@ -296,12 +264,9 @@ class StoreState:
         old = self.forms.get(identity)
         if old == form:
             return "unchanged"
-        surface = fold(form.surface)
-        if surface in self._mwe_first:
-            # The form may add a reading to a multiword first token.
-            self._touch_first_token(surface)
         self._table("forms")[identity] = form
-        self._bucket("_form_index", surface).add(identity)
+        self._bucket("_form_index", fold(form.surface)).add(identity)
+        self._bucket("_form_lemma_index", fold(form.lemma)).add(identity)
         return "updated" if old is not None else "inserted"
 
     def upsert_relation(self, source: str, target: str, type_name: str) -> str:
@@ -365,6 +330,10 @@ class StoreState:
     def form_lookup(self, surface: str) -> list[WordForm]:
         keys = self._form_index.get(fold(nfc(surface)), ())
         return [self.forms[k] for k in sorted(keys)]
+
+    def forms_by_lemma(self, lemma: str) -> list[WordForm]:
+        """Forms whose lemma matches case-insensitively, in identity order."""
+        return [self.forms[k] for k in sorted(self._form_lemma_index.get(fold(lemma), ()))]
 
     def token_readings(self, token: str) -> set[str]:
         """Folded lemmas a token can stand for: itself and its forms' lemmas."""
@@ -444,13 +413,17 @@ class StoreState:
     def mwe_index_entries(self, token: str) -> list[tuple[tuple[str, ...], str]]:
         """Multiword concepts whose first token shares a reading with ``token``.
 
-        Buckets are named by every :meth:`token_readings` of each stored
-        first token and probed with every reading of ``token``, so inflected
-        first positions still find their entries.
+        A stored first token reads as a folded lemma ``r`` when it is ``r``
+        itself or the surface of a form of ``r``, so for each of the token's
+        :meth:`token_readings` the join takes the multiword keys of ``r`` and
+        of the surfaces of ``r``'s forms.  Inflected first positions thus
+        still find their entries.
         """
         keys: set[str] = set()
-        for name in self.token_readings(token):
-            keys.update(self._mwe_buckets.get(name, ()))
+        for reading in self.token_readings(token):
+            keys.update(self._mwe_first.get(reading, ()))
+            for surface, _lemma, _pos, _gender in self._form_lemma_index.get(reading, ()):
+                keys.update(self._mwe_first.get(fold(surface), ()))
         return [(tuple(self.concepts[k].key.lemma.split()), k) for k in sorted(keys)]
 
     def edges(self) -> list[RelationEdge]:
@@ -475,7 +448,7 @@ class Store:
 
     def __init__(self) -> None:
         self._state = StoreState()
-        self._state._seal()
+        self._state.freeze()
         self._write_lock = threading.Lock()
 
     def snapshot(self) -> StoreState:
@@ -489,12 +462,10 @@ class Store:
         The clone shares every table and index bucket with the published
         snapshot and copies one only when a mutator first writes to it, so
         the cost grows with what the transaction touches.  On commit,
-        ``freeze`` patches the multiword buckets of the first tokens it
-        changed, and the new state is sealed before it is published.
+        ``freeze`` seals the new state, and then it is published.
         """
         with self._write_lock:
             work = self._state.clone()
             yield work
             work.freeze()
-            work._seal()
             self._state = work

@@ -198,6 +198,13 @@ class ExtractTables:
             names.add(_fold(lemma))
         return names
 
+    def mwe_entries(self, token_text: str) -> list[tuple[tuple[str, ...], str]]:
+        """``mwe_index_entries`` as its docstring states it: every multiword
+        concept whose first token shares a reading with the token, by key."""
+        readings = self.readings(token_text)
+        hits = [(tokens, c.key) for tokens, c in self.mwes if self.readings(tokens[0]) & readings]
+        return sorted(hits, key=lambda hit: hit[1])
+
     def single_candidates(self, token_text: str) -> set[str]:
         keys = {c.key for c in self.single_by_lemma.get(_fold(token_text), ())}
         for lemma, pos, gender in self.form_lemmas.get(_fold(token_text), ()):
@@ -266,6 +273,30 @@ def extract_oracle(text: str, tables: ExtractTables) -> list[tuple[int, int, fro
                 results.append((token.start, token.end, frozenset(keys)))
         i += 1
     return results
+
+
+# -- concept view ----------------------------------------------------------------
+
+def concept_forms(raw: RawData, key: str) -> list[dict]:
+    """The concept view's forms, by a scan of every form record.
+
+    A form joins a concept when the folded lemmas are equal and its POS and
+    gender are each unspecified or equal to the concept's; forms sort by
+    (surface, lemma, POS, gender).
+    """
+    concept = next(c for c in raw.concepts if c.key == key)
+    pos = concept.pos.split(":")[0] if concept.pos else None
+    joined = sorted(
+        (surface, lemma, form_pos or "", gender or "-", tags)
+        for surface, lemma, form_pos, gender, tags in raw.forms
+        if _fold(lemma) == _fold(concept.lemma)
+        and form_pos in (None, pos)
+        and gender in (None, concept.gender)
+    )
+    return [
+        {"surface": surface, "pos": form_pos or None, "gender": None if gender == "-" else gender, "tags": tags}
+        for surface, _lemma, form_pos, gender, tags in joined
+    ]
 
 
 # -- scoring --------------------------------------------------------------------

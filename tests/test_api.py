@@ -17,6 +17,8 @@ from konsepta import api, extract, solve_analogy
 from konsepta.api import ERROR_CODES, ROUTES, ApiConfig, dispatch, make_server, serialize_body
 from konsepta.ingest import SCHEMA_VERSION
 
+import oracles
+
 FRUIT = "jedlo/ovocie/hruška"
 TREE = "rastlina/strom/hruška"
 
@@ -39,6 +41,11 @@ class TestConceptEndpoint:
         assert concept["translations"]["en"] == "pear tree"
         assert any(f["surface"] == "hrušky" for f in concept["forms"])
         assert {r["type"] for r in concept["relations"]} == {"hypernym", "related"}
+
+    def test_forms_match_full_scan_oracle(self, store, raw):
+        for key in store.snapshot().concepts:
+            forms = get(store, f"/v1/concepts/{q(key)}")[1]["concept"]["forms"]
+            assert forms == oracles.concept_forms(raw, key), key
 
     def test_unknown_key_404(self, store):
         status, payload = get(store, f"/v1/concepts/{q('rastlina/strom/baobab')}")
@@ -422,6 +429,28 @@ class TestLiveServer:
             "schema": "konsepta/v1",
             "error": {"code": "bad_request", "message": f"invalid Content-Length: {length!r}"},
         }
+
+    # Far over the cap, and over int()'s 4,300-digit limit; no body is sent.
+    @pytest.mark.parametrize("length", ["1000000000000", "9" * 5000], ids=["1e12", "5000-digits"])
+    def test_oversized_content_length_413_unread(self, server, length):
+        data = f"POST /v1/extract HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
+        [(status, headers, body)] = self._exchange(server, data, ("POST",))
+        assert status == 413
+        assert headers["Connection"] == "close"
+        assert json.loads(body) == {
+            "schema": "konsepta/v1",
+            "error": {"code": "content_too_large", "message": f"request body over the {api.MAX_BODY_BYTES}-byte limit"},
+        }
+
+    def test_body_at_the_cap_is_read(self, server, monkeypatch):
+        body = json.dumps({"text": "2 + 2"}).encode()
+        head = f"POST /v1/extract HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: {len(body)}\r\n\r\n"
+        monkeypatch.setattr(api, "MAX_BODY_BYTES", len(body))
+        [(status, _headers, reply)] = self._exchange(server, head.encode() + body, ("POST",))
+        assert (status, json.loads(reply)["annotations"][0]["chosen"]) == (200, "symbol/plus")
+        monkeypatch.setattr(api, "MAX_BODY_BYTES", len(body) - 1)
+        [(status, _headers, _reply)] = self._exchange(server, head.encode(), ("POST",))
+        assert status == 413
 
     def _exchange(self, server, data: bytes, methods=("GET",)):
         """Send raw request bytes, read to EOF and split the replies, one per method."""

@@ -1,5 +1,6 @@
 import copy
 import random
+import urllib.parse
 
 import pytest
 
@@ -17,6 +18,7 @@ from konsepta import (
     extract,
     load_dataset,
 )
+from konsepta.api import dispatch
 from konsepta.core import (
     KonseptaError,
     RelationType,
@@ -32,7 +34,7 @@ import oracles
 FRUIT = "jedlo/ovocie/hruška"
 TREE = "rastlina/strom/hruška"
 #: Every index a write transaction maintains in place.
-RAW_INDEXES = ("_lemma_index", "_form_index", "_glyph_index", "_adj", "_mwe_first", "_mwe_buckets")
+RAW_INDEXES = ("_lemma_index", "_form_index", "_form_lemma_index", "_glyph_index", "_adj", "_mwe_first")
 
 
 class TestGet:
@@ -221,6 +223,12 @@ class TestMweIndex:
     def test_non_starter_token(self, snap):
         assert snap.mwe_index_entries("škola") == []
 
+    def test_matches_oracle(self, snap, raw):
+        tables = oracles.ExtractTables.build(raw)
+        tokens = {t for c in raw.concepts for t in c.lemma.split()} | {f[0] for f in raw.forms}
+        for token in tokens | {t.upper() for t in tokens}:
+            assert snap.mwe_index_entries(token) == tables.mwe_entries(token), token
+
     def test_union_over_first_tokens_covers_all_mwes(self, snap):
         mwes = {
             key
@@ -334,6 +342,9 @@ class TestSealedSnapshot:
         "upsert_form": lambda s: s.upsert_form(WordForm("mačky", "mačka", PartOfSpeech.NOUN, Gender.FEMININE, "pl.nom")),
         "upsert_relation": lambda s: s.upsert_relation("zviera/pes", "meno/Miro", "related"),
         "remove_relation": lambda s: s.remove_relation(*_first_edge(s)),
+        "taxonomy.register": lambda s: s.taxonomy.register(["zviera", "drak"]),
+        "registry.upsert": lambda s: s.registry.upsert(RelationType("cites")),
+        "registry.remove": lambda s: s.registry.remove("related"),
     }
 
     @pytest.mark.parametrize("mutator", sorted(MUTATIONS))
@@ -348,6 +359,14 @@ class TestSealedSnapshot:
     def test_empty_store_is_sealed(self):
         with pytest.raises(KonseptaError, match="sealed"):
             Store().snapshot().upsert_concept(CAT)
+
+    def test_clones_of_sealed_parts_are_writable(self, snap):
+        assert snap.taxonomy.clone().register(["zviera", "drak"]) is True
+        registry = snap.registry.clone()
+        assert registry.upsert(RelationType("cites")) == "inserted"
+        registry.remove("cites")
+        assert "cites" not in registry and "cites" not in snap.registry
+        assert ("zviera", "drak") not in snap.taxonomy
 
 
 class TestCopyOnWrite:
@@ -364,14 +383,13 @@ class TestCopyOnWrite:
         ),
         "multiword concept": (
             lambda s: s.upsert_concept(HIGH_MOUNTAIN),
-            {("concepts", None), ("_lemma_index", "vysoká hora"), ("_mwe_first", "vysoká"),
-             ("_mwe_buckets", "vysoká"), ("_mwe_buckets", "vysoký")},
+            {("concepts", None), ("_lemma_index", "vysoká hora"), ("_mwe_first", "vysoká")},
         ),
-        # A new lemma for a multiword first token: a new reading, so its buckets are patched.
+        # A new reading for a multiword first token: only the form's own
+        # buckets change, as multiword lookup joins the indexes when read.
         "form of a first token": (
             lambda s: s.upsert_form(WordForm("vysoká", "vysokánsky", PartOfSpeech.ADJECTIVE, Gender.FEMININE, "")),
-            {("forms", None), ("_form_index", "vysoká"), ("_mwe_buckets", "vysoká"), ("_mwe_buckets", "vysoký"),
-             ("_mwe_buckets", "vysokánsky")},
+            {("forms", None), ("_form_index", "vysoká"), ("_form_lemma_index", "vysokánsky")},
         ),
     }
 
@@ -554,7 +572,8 @@ class TestRebuildEquality:
             edge = rng.choice(state.edges())
             state.remove_relation(edge.source, edge.target, edge.type)
 
-    def _assert_equal_to_rebuild(self, snap, step: int) -> None:
+    def _assert_equal_to_rebuild(self, store, step: int) -> None:
+        snap = store.snapshot()
         fresh = _rebuilt(snap)
         raw = oracles.parse_raw(export_dataset(snap))
         adjacency = oracles.as_read_adjacency(raw)
@@ -563,8 +582,13 @@ class TestRebuildEquality:
         for key in snap.concepts:
             assert snap.as_read_neighbors(key) == fresh.as_read_neighbors(key), (where, key)
             assert set(snap.as_read_neighbors(key)) == adjacency[key], (where, key)
+            view = dispatch(store, "GET", "/v1/concepts/" + urllib.parse.quote(key, safe=""))[1]
+            assert view["concept"]["forms"] == oracles.concept_forms(raw, key), (where, key)
         for reading in _mwe_first_token_readings(raw) | {fold(f) for f in self.FIRSTS}:
             assert snap.mwe_index_entries(reading) == fresh.mwe_index_entries(reading), (where, reading)
+        tables = oracles.ExtractTables.build(raw)
+        for token in set(self.FIRSTS) | set(self.SURFACES) | set(self.WORDS) | set(self.FORM_LEMMAS):
+            assert snap.mwe_index_entries(token) == tables.mwe_entries(token), (where, token)
         lemmas = {c.key.lemma for c in snap.concepts.values()} | set(self.WORDS) | set(self.FORM_LEMMAS)
         for lemma in lemmas:
             assert snap.find_by_lemma(lemma) == fresh.find_by_lemma(lemma), (where, lemma)
@@ -573,8 +597,7 @@ class TestRebuildEquality:
         for glyph in self.GLYPHS:
             assert snap.glyph_lookup(glyph) == fresh.glyph_lookup(glyph), (where, glyph)
         assert snap.stats() == fresh.stats(), where
-        # The raw indexes too: no bucket left empty by a removal, and the
-        # patched multiword table equal to one built from scratch.
+        # The raw indexes too: no bucket left empty by a removal.
         for index in RAW_INDEXES:
             assert getattr(snap, index) == getattr(fresh, index), (where, index)
 
@@ -599,7 +622,7 @@ class TestRebuildEquality:
             assert export_dataset(before) == text, step
             for index, saved in indexes.items():
                 assert getattr(before, index) == saved, (step, index)
-            self._assert_equal_to_rebuild(fresh_store.snapshot(), step)
+            self._assert_equal_to_rebuild(fresh_store, step)
 
 
 class _Abort(Exception):
