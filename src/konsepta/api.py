@@ -43,6 +43,9 @@ DEFAULT_LIMIT = 50
 #: The largest request body the server reads; a larger declared length gets 413 unread.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds a connection may sit idle, or stall mid-request, before the server closes it and frees its thread.
+IDLE_TIMEOUT_S = 30
+
 #: The one error code of each status; fixed, as ``HTTPStatus`` phrases vary by Python version.
 ERROR_CODES = {
     400: "bad_request", 401: "unauthorized", 403: "forbidden", 404: "not_found", 405: "method_not_allowed",
@@ -392,6 +395,8 @@ ROUTES = (
 def make_server(store: Store, host: str, port: int, config: ApiConfig = DEFAULT_CONFIG) -> ThreadingHTTPServer:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # StreamRequestHandler.setup puts it on the socket; handle_one_request closes on the timeout.
+        timeout = IDLE_TIMEOUT_S
 
         def _handle(self) -> None:
             started = time.perf_counter()

@@ -125,9 +125,12 @@ def semantic_network(
 ) -> SemanticNetwork:
     """Concept-map data: BFS layering to ``depth`` plus all edges among nodes.
 
-    Edges are emitted once each with an as-read label that passes the filter;
-    a directional edge whose forward name is filtered out but whose inverse
-    passes is emitted reversed under the inverse name.
+    The edges come from the adjacency index of the layer's nodes
+    (:meth:`StoreState.edges` with ``among``), so a call costs what the
+    layer touches, not what the store holds.  Edges are emitted once each
+    with an as-read label that passes the filter; a directional edge whose
+    forward name is filtered out but whose inverse passes is emitted
+    reversed under the inverse name.
     """
     if depth < 0:
         raise ValidationError([f"depth must be >= 0, got {depth}"])
@@ -141,9 +144,7 @@ def semantic_network(
     layer = _layers(state, [state.require(seed).key.canonical for seed in seeds], depth, allowed)
 
     edges: set[RelationEdge] = set()
-    for edge in state.edges():
-        if edge.source not in layer or edge.target not in layer:
-            continue
+    for edge in state.edges(layer):
         if allowed(edge.type):
             edges.add(edge)
             continue

@@ -21,6 +21,7 @@ raise.
 from __future__ import annotations
 
 import threading
+from collections.abc import Collection
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -426,8 +427,19 @@ class StoreState:
                 keys.update(self._mwe_first.get(fold(surface), ()))
         return [(tuple(self.concepts[k].key.lemma.split()), k) for k in sorted(keys)]
 
-    def edges(self) -> list[RelationEdge]:
-        return [self._edges[k] for k in sorted(self._edges)]
+    def edges(self, among: Collection[str] | None = None) -> list[RelationEdge]:
+        """Stored edges in key order; with ``among``, only those with both ends in it.
+
+        Without ``among`` this sorts every edge.  With it, the edges are
+        collected from the adjacency index of ``among``'s nodes, so the cost
+        grows with their degree, not with the store.
+        """
+        if among is None:
+            keys = self._edges
+        else:
+            # An edge is reached from both of its ends; the set keeps it once.
+            keys = {k for node in among for k in self._adj.get(node, ()) if k[0] in among and k[1] in among}
+        return [self._edges[k] for k in sorted(keys)]
 
     def relation_count_for(self, type_name: str) -> int:
         return self._by_type.get(type_name, 0)

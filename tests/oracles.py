@@ -12,6 +12,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
+from konsepta.core import RelationEdge
 from konsepta.extract import Token, TokenClass, tokenize
 
 
@@ -342,6 +343,30 @@ def score_oracle(annotations, raw: RawData, weights) -> list[tuple[tuple[tuple[s
         levels = sorted((d.level.value for d in ann.derivations if d.key == chosen), key=level_rank.__getitem__)
         results.append((candidates, chosen, levels[0] if levels else ann.match_level.value))
     return results
+
+
+# -- semantic network edges ------------------------------------------------------
+
+def semantic_network_edges_oracle(state, layer, allowed: set[str] | None) -> tuple:
+    """The network's edges by a full scan of every stored edge.
+
+    Keeps the edges with both ends in ``layer``; an edge whose own name is
+    not ``allowed`` (``None`` allows every name) is kept reversed under the
+    name it reads backwards, if that name is allowed.  Sorted by source,
+    target and type, as :func:`konsepta.semantics.semantic_network` emits them.
+    """
+    found = set()
+    for edge in state.edges():
+        if edge.source not in layer or edge.target not in layer:
+            continue
+        if allowed is None or edge.type in allowed:
+            found.add(edge)
+            continue
+        rt = state.registry.get(edge.type)
+        back = edge.type if rt.symmetric else rt.inverse
+        if back is not None and back in allowed:
+            found.add(RelationEdge(edge.target, edge.source, back))
+    return tuple(sorted(found, key=lambda e: (e.source, e.target, e.type)))
 
 
 # -- stats ----------------------------------------------------------------------

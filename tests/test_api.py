@@ -452,6 +452,14 @@ class TestLiveServer:
         [(status, _headers, _reply)] = self._exchange(server, head.encode(), ("POST",))
         assert status == 413
 
+    def test_idle_connection_is_closed(self, server):
+        assert server.RequestHandlerClass.timeout == api.IDLE_TIMEOUT_S
+        server.RequestHandlerClass.timeout = 0.2
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""
+        assert time.monotonic() - started < 5
+
     def _exchange(self, server, data: bytes, methods=("GET",)):
         """Send raw request bytes, read to EOF and split the replies, one per method."""
         received = b""

@@ -2,7 +2,7 @@
 
 import unicodedata
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from konsepta import DatasetBundle, Store, export_dataset, extract, load_dataset
 from konsepta.extract import MatchLevel
@@ -12,6 +12,10 @@ from konsepta.semantics import path_relations, semantic_network, to_dot, transit
 _FIXTURE = Store()
 load_dataset(DatasetBundle.read_dir(fixture_dir()), _FIXTURE)
 _REGISTRY = _FIXTURE.snapshot().registry
+
+_KEYS = sorted(_FIXTURE.snapshot().concepts)
+#: The one fixture concept without relations.
+_LONE = "symbol/hviezdička"
 
 _seg = st.text(alphabet="abcdeáčšž", min_size=1, max_size=5)
 
@@ -134,6 +138,23 @@ class TestGeneratedBundles:
         assert got["relations"] == scan["relations"]
         assert got["by_pos"] == dict(sorted(scan["by_pos"].items()))
         assert got["by_relation_type"] == dict(sorted(scan["by_relation_type"].items()))
+
+
+class TestEdgesAmong:
+    def test_lone_key_has_no_edges(self):
+        assert _FIXTURE.snapshot().neighbors(_LONE) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(among=st.sets(st.sampled_from(_KEYS)))
+    @example(among=set())
+    @example(among={_LONE})
+    @example(among={_LONE, "človek/muž", "človek/žena"})
+    def test_equals_filtered_full_list(self, among):
+        snap = _FIXTURE.snapshot()
+        expected = [e for e in snap.edges() if e.source in among and e.target in among]
+        assert snap.edges(among) == expected
+        # semantic_network passes its layer, a dict of key -> depth.
+        assert snap.edges(dict.fromkeys(among, 0)) == expected
 
 
 class TestDeterminism:

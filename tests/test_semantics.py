@@ -166,6 +166,19 @@ class TestSemanticNetwork:
         with pytest.raises(UnknownConceptError):
             semantic_network(snap, ["meno/Nikto"], 1)
 
+    def test_edges_match_full_scan_oracle(self, snap):
+        types = snap.registry.types()
+        # Every inverse is registered in the fixture; {"augmentative"} is the reversed case.
+        names = sorted({rt.name for rt in types} | {rt.inverse for rt in types if rt.inverse})
+        filters = [None] + [{name} for name in names]
+        keys = sorted(snap.concepts)
+        seed_sets = [[key] for key in keys] + [list(pair) for pair in zip(keys, keys[1:])]
+        for seeds, depth, allowed in itertools.product(seed_sets, range(4), filters):
+            network = semantic_network(snap, seeds, depth, allowed)
+            layer = {key for key, _ in network.nodes}
+            expected = oracles.semantic_network_edges_oracle(snap, layer, allowed)
+            assert network.edges == expected, (seeds, depth, allowed)
+
     def test_dot_output_deterministic(self, snap):
         network = semantic_network(snap, [MUZ], 1)
         dot = to_dot(network.to_payload())

@@ -19,6 +19,7 @@ from konsepta import (
     load_dataset,
 )
 from konsepta.api import dispatch
+from konsepta.semantics import semantic_network
 from konsepta.core import (
     KonseptaError,
     RelationType,
@@ -572,7 +573,7 @@ class TestRebuildEquality:
             edge = rng.choice(state.edges())
             state.remove_relation(edge.source, edge.target, edge.type)
 
-    def _assert_equal_to_rebuild(self, store, step: int) -> None:
+    def _assert_equal_to_rebuild(self, store, step: int, probe: random.Random) -> None:
         snap = store.snapshot()
         fresh = _rebuilt(snap)
         raw = oracles.parse_raw(export_dataset(snap))
@@ -597,6 +598,13 @@ class TestRebuildEquality:
         for glyph in self.GLYPHS:
             assert snap.glyph_lookup(glyph) == fresh.glyph_lookup(glyph), (where, glyph)
         assert snap.stats() == fresh.stats(), where
+        names = [None] + snap.registry.names()
+        for key in probe.sample(sorted(snap.concepts), min(3, len(snap.concepts))):
+            depth, name = probe.randint(0, 2), probe.choice(names)
+            allowed = None if name is None else {name}
+            network = semantic_network(snap, [key], depth, allowed)
+            layer = {k for k, _ in network.nodes}
+            assert network.edges == oracles.semantic_network_edges_oracle(snap, layer, allowed), (where, key, name)
         # The raw indexes too: no bucket left empty by a removal.
         for index in RAW_INDEXES:
             assert getattr(snap, index) == getattr(fresh, index), (where, index)
@@ -605,6 +613,8 @@ class TestRebuildEquality:
         rng = random.Random(5005)
         # Mutations of transactions that fail; drawn apart, so rng's sequence is the committed one.
         spoiler = random.Random(6006)
+        # Graph probes of each committed step; drawn apart too.
+        probe = random.Random(7007)
         for step in range(60):
             before = fresh_store.snapshot()
             text = export_dataset(before)
@@ -622,7 +632,7 @@ class TestRebuildEquality:
             assert export_dataset(before) == text, step
             for index, saved in indexes.items():
                 assert getattr(before, index) == saved, (step, index)
-            self._assert_equal_to_rebuild(fresh_store, step)
+            self._assert_equal_to_rebuild(fresh_store, step, probe)
 
 
 class _Abort(Exception):
