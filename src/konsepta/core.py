@@ -362,6 +362,8 @@ def validate_concept(concept: Concept) -> list[str]:
     """Structural invariant check; returns diagnostics, empty when fine."""
     problems = []
     lemma = concept.key.lemma
+    if lemma.isspace():
+        problems.append(f"lemma has no non-space character, so no text can match it: {lemma!r}")
     is_spaced = any(ch.isspace() for ch in lemma)
     if (concept.kind is ConceptKind.MULTIWORD) != is_spaced:
         if is_spaced:
@@ -451,3 +453,85 @@ def form_matches_concept(form: WordForm, concept: Concept) -> bool:
     if form.gender is not Gender.UNSPECIFIED and form.gender is not concept.gender:
         return False
     return True
+
+
+# -- tokenizer: the store files lemmas and glyphs as tokens, extraction matches them
+
+class TokenClass(str, Enum):
+    WORD = "word"
+    NUMBER = "number"
+    PUNCT = "punct"
+    SYMBOL = "symbol"
+    EMOJI = "emoji"
+    SPACE = "space"
+
+
+@dataclass(frozen=True)
+class Token:
+    """One token; offsets count Unicode scalar values, end-exclusive."""
+
+    text: str
+    start: int
+    end: int
+    cls: TokenClass
+
+
+#: Sentence punctuation, one token per scalar.  A multiword match skips it
+#: between positions where the lemma has none; everything else that is not a
+#: letter, digit, space or emoji (+, *, etc.) is a SYMBOL.
+PUNCT_CHARS = frozenset(".,;:!?…‚‘’“”„\"'«»()[]{}‐-–—/\\")
+
+_EMOJI_RANGES = ((0x1F000, 0x1FAFF), (0x2600, 0x27BF))
+_EMOJI_JOINERS = frozenset((0x200D, 0xFE0F))
+
+
+def _is_emoji(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+
+
+def _scalar_class(ch: str) -> TokenClass:
+    if ch.isspace():
+        return TokenClass.SPACE
+    if _is_emoji(ch):
+        return TokenClass.EMOJI
+    category = unicodedata.category(ch)
+    if category.startswith("L") or category.startswith("M"):
+        return TokenClass.WORD
+    if category == "Nd":
+        return TokenClass.NUMBER
+    if ch in PUNCT_CHARS:
+        return TokenClass.PUNCT
+    return TokenClass.SYMBOL
+
+
+def tokenize(text: str) -> list[Token]:
+    """Deterministic tokenization; spans partition the input exactly.
+
+    Letter runs become words, digit runs numbers, whitespace runs spaces and
+    emoji scalar sequences (joiners included) one emoji token; punctuation
+    and symbols come out one scalar at a time.
+    """
+    tokens: list[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        cls = _scalar_class(text[i])
+        j = i + 1
+        if cls in (TokenClass.WORD, TokenClass.NUMBER, TokenClass.SPACE):
+            while j < n and _scalar_class(text[j]) is cls:
+                j += 1
+        elif cls is TokenClass.EMOJI:
+            while j < n and (_is_emoji(text[j]) or ord(text[j]) in _EMOJI_JOINERS):
+                j += 1
+        tokens.append(Token(text[i:j], i, j, cls))
+        i = j
+    return tokens
+
+
+def entry_tokens(text: str) -> tuple[str, ...]:
+    """How a lemma or glyph is written as an entry: its token texts, spaces dropped."""
+    # A text with str.isalpha() true is one WORD token, so most lemmas skip the tokenizer.
+    parts = text.split()
+    if "".join(parts).isalpha():
+        return tuple(parts)
+    return tuple(t.text for t in tokenize(text) if t.cls is not TokenClass.SPACE)

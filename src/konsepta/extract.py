@@ -1,8 +1,10 @@
 """Mapping raw text to concept annotations.
 
-The pipeline is: tokenize, match multiword lemmas leftmost-longest, match
-single words as lemmas or through the form index, match symbol/emoji glyphs,
-then score and pick one concept per annotation.
+The pipeline is: tokenize, match entries leftmost-longest, then score and
+pick one concept per annotation.  An entry is a concept's lemma or glyph as
+tokens (:func:`konsepta.core.entry_tokens`); the store names the entries that
+may start at a token (:meth:`~konsepta.store.StoreState.entry_candidates`),
+and one matcher, :func:`_match`, tries them all.
 
 Everything here is a pure function of the store snapshot it is given, so
 extractions can run concurrently over the same snapshot.
@@ -10,84 +12,12 @@ extractions can run concurrently over the same snapshot.
 
 from __future__ import annotations
 
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import Gender, PartOfSpeech, fold
-from .store import StoreState
-
-
-class TokenClass(str, Enum):
-    WORD = "word"
-    NUMBER = "number"
-    PUNCT = "punct"
-    SYMBOL = "symbol"
-    EMOJI = "emoji"
-    SPACE = "space"
-
-
-@dataclass(frozen=True)
-class Token:
-    """One token; offsets count Unicode scalar values, end-exclusive."""
-
-    text: str
-    start: int
-    end: int
-    cls: TokenClass
-
-
-# Sentence punctuation that may separate the words of a multiword match.
-# Everything else non-letter/digit/space (+, *, etc.) stays SYMBOL so glyph
-# entries remain matchable.
-_PUNCT_CHARS = frozenset(".,;:!?…‚‘’“”„\"'«»()[]{}‐-–—/\\")
-
-_EMOJI_RANGES = ((0x1F000, 0x1FAFF), (0x2600, 0x27BF))
-_EMOJI_JOINERS = frozenset((0x200D, 0xFE0F))
-
-
-def _is_emoji(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
-
-
-def _scalar_class(ch: str) -> TokenClass:
-    if ch.isspace():
-        return TokenClass.SPACE
-    if _is_emoji(ch):
-        return TokenClass.EMOJI
-    category = unicodedata.category(ch)
-    if category.startswith("L") or category.startswith("M"):
-        return TokenClass.WORD
-    if category == "Nd":
-        return TokenClass.NUMBER
-    if ch in _PUNCT_CHARS:
-        return TokenClass.PUNCT
-    return TokenClass.SYMBOL
-
-
-def tokenize(text: str) -> list[Token]:
-    """Deterministic tokenization; spans partition the input exactly.
-
-    Letter runs become words, digit runs numbers, whitespace runs spaces and
-    emoji scalar sequences (joiners included) one emoji token; punctuation
-    and symbols come out one scalar at a time.
-    """
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        cls = _scalar_class(text[i])
-        j = i + 1
-        if cls in (TokenClass.WORD, TokenClass.NUMBER, TokenClass.SPACE):
-            while j < n and _scalar_class(text[j]) is cls:
-                j += 1
-        elif cls is TokenClass.EMOJI:
-            while j < n and (_is_emoji(text[j]) or ord(text[j]) in _EMOJI_JOINERS):
-                j += 1
-        tokens.append(Token(text[i:j], i, j, cls))
-        i = j
-    return tokens
+from .core import PUNCT_CHARS, Gender, PartOfSpeech, Token, TokenClass, fold, form_matches_concept, nfc, tokenize
+from .store import Entry, StoreState
 
 
 class MatchLevel(str, Enum):
@@ -157,114 +87,91 @@ class DisambiguationWeights:
 DEFAULT_WEIGHTS = DisambiguationWeights()
 
 
-def _single_word_derivations(state: StoreState, token_text: str) -> list[Derivation]:
-    """The token as a lemma, then its forms joined to concepts as form search joins them."""
-    derivations = [Derivation(c.key.canonical, MatchLevel.SURFACE) for c in state.find_by_lemma(token_text)]
-    folded = fold(token_text)
-    for form, concepts in state.find_by_form(token_text):
-        if fold(form.lemma) != folded:
-            derivations += [Derivation(c.key.canonical, MatchLevel.LEMMA, form.pos, form.gender) for c in concepts]
-    return derivations
+def _position_matches(state: StoreState, text_token: str, entry_token: str, cache: dict) -> tuple[bool, bool]:
+    """(matches, at_surface_level) for one position of a lemma.
 
-
-def _position_matches(state: StoreState, text_token: str, mwe_token: str, cache: dict) -> tuple[bool, bool]:
-    """(matches, at_surface_level) for one multiword position.
-
-    A position matches at surface level when the tokens fold equal, at lemma
-    level when the text token shares a lemma reading with the stored token
-    (the stored token counts as its own reading).
+    Surface level when the tokens fold equal, else lemma level when they
+    share a reading (:meth:`~konsepta.store.StoreState.token_readings`).
     """
-    if fold(text_token) == fold(mwe_token):
+    if fold(text_token) == fold(entry_token):
         return True, True
-    for token in (text_token, mwe_token):
+    for token in (text_token, entry_token):
         if token not in cache:
             cache[token] = state.token_readings(token)
-    return bool(cache[text_token] & cache[mwe_token]), False
+    return bool(cache[text_token] & cache[entry_token]), False
 
 
-def _collect_window(tokens: list[Token], start_idx: int, length: int) -> list[int] | None:
-    """Indexes of ``length`` word tokens from ``start_idx``.
+def _window(tokens: list[Token], start: int, entry: Entry) -> list[int] | None:
+    """Indexes of the text tokens that ``entry``'s tokens line up with, from ``start``.
 
-    Space and punctuation between the words are skipped (they stay inside
-    the annotation span); a newline or any other token class ends the window.
+    A glyph's line up contiguously.  Between a lemma's positions the window skips
+    space, and punctuation unless the lemma has punctuation there; a newline ends it.
     """
-    indexes = [start_idx]
-    i = start_idx + 1
-    while len(indexes) < length:
-        while i < len(tokens) and tokens[i].cls in (TokenClass.SPACE, TokenClass.PUNCT):
-            if tokens[i].cls is TokenClass.SPACE and "\n" in tokens[i].text:
+    indexes = [start]
+    i = start + 1
+    for part in entry.tokens[1:]:
+        while not entry.glyph and i < len(tokens) and (
+                tokens[i].cls is TokenClass.SPACE or tokens[i].cls is TokenClass.PUNCT and part not in PUNCT_CHARS):
+            if "\n" in tokens[i].text:
                 return None
             i += 1
-        if i >= len(tokens) or tokens[i].cls is not TokenClass.WORD:
+        if i >= len(tokens):
             return None
         indexes.append(i)
         i += 1
     return indexes
 
 
-def _mwe_match_at(state: StoreState, tokens: list[Token], start_idx: int, cache: dict):
-    """Longest multiword match starting at a word token.
+def _match(state: StoreState, tokens: list[Token], start: int, cache: dict) -> tuple[int, list[Derivation]]:
+    """The last token index that entries matching from ``tokens[start]`` reach, and their derivations.
 
-    Returns ``(last_token_index, derivations)`` or ``None``.  Entries are
-    found through the first-token index, probed with each reading of the
-    surface token.
+    The match that ends last wins; matches that end on the same token share
+    it.  A glyph matches exactly (NFC).  A lemma matches position by position
+    (:func:`_position_matches`), at surface level when every position does;
+    but a one-token lemma that does not fold equal to the token reads at
+    lemma level only through each of the token's forms that joins its
+    concept, with the form's POS and gender.
     """
-    by_length: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
-    for mwe_tokens, key in state.mwe_index_entries(tokens[start_idx].text):
-        by_length.setdefault(len(mwe_tokens), []).append((key, mwe_tokens))
-    for length in sorted(by_length, reverse=True):
-        window = _collect_window(tokens, start_idx, length)
-        if window is None:
+    text = tokens[start].text
+    best, derivations, forms = start, [], None
+    for entry in state.entry_candidates(text):
+        window = _window(tokens, start, entry)
+        if window is None or window[-1] < best:
             continue
-        derivations = []
-        for key, mwe_tokens in sorted(by_length[length]):
-            all_surface = True
-            matched = True
-            for token_idx, mwe_token in zip(window, mwe_tokens):
-                ok, at_surface = _position_matches(state, tokens[token_idx].text, mwe_token, cache)
-                if not ok:
-                    matched = False
-                    break
-                all_surface = all_surface and at_surface
-            if matched:
-                level = MatchLevel.SURFACE if all_surface else MatchLevel.LEMMA
-                derivations.append(Derivation(key, level))
-        if derivations:
-            return window[-1], derivations
-    return None
+        pairs = [(tokens[i].text, part) for i, part in zip(window, entry.tokens)]
+        if entry.glyph:
+            found = [Derivation(entry.key, MatchLevel.GLYPH)] if all(nfc(t) == part for t, part in pairs) else []
+        elif len(pairs) == 1 and fold(text) != fold(entry.tokens[0]):
+            forms = state.form_lookup(text) if forms is None else forms
+            concept = state.concepts[entry.key]
+            found = [Derivation(entry.key, MatchLevel.LEMMA, f.pos, f.gender)
+                     for f in forms if form_matches_concept(f, concept)]
+        else:
+            positions = [_position_matches(state, t, part, cache) for t, part in pairs]
+            level = MatchLevel.SURFACE if all(surface for _ok, surface in positions) else MatchLevel.LEMMA
+            found = [Derivation(entry.key, level)] if all(ok for ok, _surface in positions) else []
+        if found:
+            if window[-1] > best:
+                best, derivations = window[-1], []
+            derivations += found
+    return best, derivations
 
 
 def extract(text: str, state: StoreState, weights: DisambiguationWeights = DEFAULT_WEIGHTS) -> list[Annotation]:
     """Map text to concept annotations, leftmost-longest, non-overlapping.
 
-    At each word token the longest multiword match wins over single-word
-    matches; symbol and emoji tokens are matched by glyph equality; numbers,
-    punctuation and spaces are never annotated.
+    From each token the match that ends last wins (:func:`_match`); spaces
+    start no match, and a token that starts none stays unannotated.
     """
     tokens = tokenize(text)
     annotations: list[Annotation] = []
     cache: dict[str, set[str]] = {}
     i = 0
     while i < len(tokens):
-        token = tokens[i]
-        if token.cls is TokenClass.WORD:
-            mwe = _mwe_match_at(state, tokens, i, cache)
-            if mwe is not None:
-                last_idx, derivations = mwe
-                annotations.append(
-                    _build_annotation(token.start, tokens[last_idx].end, text, derivations)
-                )
-                i = last_idx + 1
-                continue
-            derivations = _single_word_derivations(state, token.text)
-            if derivations:
-                annotations.append(_build_annotation(token.start, token.end, text, derivations))
-        elif token.cls in (TokenClass.SYMBOL, TokenClass.EMOJI):
-            keys = state.glyph_lookup(token.text)
-            if keys:
-                derivations = [Derivation(k, MatchLevel.GLYPH) for k in keys]
-                annotations.append(_build_annotation(token.start, token.end, text, derivations))
-        i += 1
+        last, derivations = _match(state, tokens, i, cache) if tokens[i].cls is not TokenClass.SPACE else (i, [])
+        if derivations:
+            annotations.append(_build_annotation(tokens[i].start, tokens[last].end, text, derivations))
+        i = last + 1
     return disambiguate(annotations, state, weights)
 
 

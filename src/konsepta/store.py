@@ -12,8 +12,8 @@ sharing, as in Bagwell's "Ideal Hash Trees", at its simplest: two levels
 of copy-on-write).  The clone shares every table and index bucket with its
 base; a mutator copies a table, and then a bucket, the first time the
 transaction writes to it, and at most once.  Every index is kept by the
-mutators; nothing is derived at commit.  Multiword lookup joins two of
-them when it is read.  Because tables and buckets are shared, a committed
+mutators; nothing is derived at commit.  Entry lookup joins three of them
+when it is read.  Because tables and buckets are shared, a committed
 snapshot is sealed: its mutators, and those of its taxonomy and registry,
 raise.
 """
@@ -24,6 +24,7 @@ import threading
 from collections.abc import Collection
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     Concept,
@@ -40,6 +41,7 @@ from .core import (
     ValidationError,
     WordForm,
     canonical_edge,
+    entry_tokens,
     fold,
     form_matches_concept,
     nfc,
@@ -112,15 +114,25 @@ def _bump(counter: dict[str, int], key: str, delta: int) -> None:
         counter.pop(key, None)
 
 
-def _first_token(concept: Concept) -> str:
-    """The folded first token of a multiword lemma; fixed, as the lemma is part of the key."""
-    return fold(concept.key.lemma.split()[0])
+class Entry(NamedTuple):
+    """A concept's lemma or glyph as extraction matches it: a sequence of token texts."""
+
+    key: str
+    tokens: tuple[str, ...]
+    glyph: bool
+
+
+def _entries_of(canonical: str, concept: Concept) -> list[Entry]:
+    """The concept's lemma entry, and its glyph entry if it has one."""
+    entries = [Entry(canonical, entry_tokens(concept.key.lemma), False)]
+    if concept.glyph:
+        entries.append(Entry(canonical, entry_tokens(concept.glyph), True))
+    return entries
 
 
 #: The tables a transaction shares with its base until its first write to
-#: them; the last six are indexes whose set buckets are shared likewise.
-_SHARED = ("concepts", "forms", "_edges", "_lemma_index", "_form_index", "_form_lemma_index", "_glyph_index",
-           "_adj", "_mwe_first")
+#: them; the last four are indexes whose set buckets are shared likewise.
+_SHARED = ("concepts", "forms", "_edges", "_entries", "_form_index", "_form_lemma_index", "_adj")
 
 
 class StoreState:
@@ -137,15 +149,13 @@ class StoreState:
         self.registry = RelationRegistry()
         self.concepts: dict[str, Concept] = {}
         self.forms: dict[FormKey, WordForm] = {}
-        self._lemma_index: dict[str, set[str]] = {}
+        # Folded first token -> the entries (lemmas and glyphs) that start with it.
+        self._entries: dict[str, set[Entry]] = {}
         self._form_index: dict[str, set[FormKey]] = {}
         # Folded lemma -> keys of the forms of that lemma.
         self._form_lemma_index: dict[str, set[FormKey]] = {}
-        self._glyph_index: dict[str, set[str]] = {}
         self._edges: dict[EdgeKey, RelationEdge] = {}
         self._adj: dict[str, set[EdgeKey]] = {}
-        # Folded first token -> multiword concept keys.
-        self._mwe_first: dict[str, set[str]] = {}
         # Incremental counters; tests audit them against a full rescan.
         self._by_pos: dict[str, int] = {}
         self._by_kind: dict[str, int] = {}
@@ -230,21 +240,15 @@ class StoreState:
         if old is not None:
             self._unindex_concept(canonical, old)
         self._table("concepts")[canonical] = concept
-        self._bucket("_lemma_index", fold(key.lemma)).add(canonical)
-        if concept.glyph:
-            self._bucket("_glyph_index", concept.glyph).add(canonical)
-        if concept.kind is ConceptKind.MULTIWORD:
-            self._bucket("_mwe_first", _first_token(concept)).add(canonical)
+        for entry in _entries_of(canonical, concept):
+            self._bucket("_entries", fold(entry.tokens[0])).add(entry)
         _bump(self._by_pos, _pos_key(concept.pos), 1)
         _bump(self._by_kind, concept.kind.value, 1)
         return "updated" if old is not None else "inserted"
 
     def _unindex_concept(self, canonical: str, concept: Concept) -> None:
-        self._discard("_lemma_index", fold(concept.key.lemma), canonical)
-        if concept.glyph:
-            self._discard("_glyph_index", concept.glyph, canonical)
-        if concept.kind is ConceptKind.MULTIWORD:
-            self._discard("_mwe_first", _first_token(concept), canonical)
+        for entry in _entries_of(canonical, concept):
+            self._discard("_entries", fold(entry.tokens[0]), entry)
         _bump(self._by_pos, _pos_key(concept.pos), -1)
         _bump(self._by_kind, concept.kind.value, -1)
 
@@ -320,12 +324,14 @@ class StoreState:
         """All concepts whose lemma matches case-insensitively.
 
         Exact-case matches sort before case-folded ones, canonical key order
-        inside each group.
+        inside each group.  Only lemma entries filed under the query's first
+        token can fold equal to it.
         """
-        query = nfc(lemma)
-        keys = sorted(self._lemma_index.get(fold(query), ()))
-        hits = [self.concepts[k] for k in keys]
-        hits = [c for c in hits if flt.matches(c)]
+        query, folded = nfc(lemma), fold(lemma)
+        first = entry_tokens(query)[:1]
+        entries = self._entries.get(fold(first[0]), ()) if first else ()
+        hits = [self.concepts[entry.key] for entry in entries if not entry.glyph]
+        hits = [c for c in hits if fold(c.key.lemma) == folded and flt.matches(c)]
         return sorted(hits, key=lambda c: (c.key.lemma != query, c.key.canonical))
 
     def form_lookup(self, surface: str) -> list[WordForm]:
@@ -408,24 +414,20 @@ class StoreState:
         """Both-direction readings, sorted; the graph modules' workhorse."""
         return tuple(sorted(self._readings(key, BOTH, None)))
 
-    def glyph_lookup(self, glyph: str) -> list[str]:
-        return sorted(self._glyph_index.get(nfc(glyph), ()))
+    def entry_candidates(self, token: str) -> list[Entry]:
+        """Entries (lemmas and glyphs) whose first token shares a reading with ``token``, sorted.
 
-    def mwe_index_entries(self, token: str) -> list[tuple[tuple[str, ...], str]]:
-        """Multiword concepts whose first token shares a reading with ``token``.
-
-        A stored first token reads as a folded lemma ``r`` when it is ``r``
-        itself or the surface of a form of ``r``, so for each of the token's
-        :meth:`token_readings` the join takes the multiword keys of ``r`` and
-        of the surfaces of ``r``'s forms.  Inflected first positions thus
-        still find their entries.
+        A stored first token reads as a folded lemma ``r`` when it is ``r`` or
+        the surface of a form of ``r``, so for each of the token's
+        :meth:`token_readings` the join takes the entries filed under ``r`` and
+        under the surfaces of ``r``'s forms.  Extraction decides which match.
         """
-        keys: set[str] = set()
+        found: set[Entry] = set()
         for reading in self.token_readings(token):
-            keys.update(self._mwe_first.get(reading, ()))
+            found.update(self._entries.get(reading, ()))
             for surface, _lemma, _pos, _gender in self._form_lemma_index.get(reading, ()):
-                keys.update(self._mwe_first.get(fold(surface), ()))
-        return [(tuple(self.concepts[k].key.lemma.split()), k) for k in sorted(keys)]
+                found.update(self._entries.get(fold(surface), ()))
+        return sorted(found)
 
     def edges(self, among: Collection[str] | None = None) -> list[RelationEdge]:
         """Stored edges in key order; with ``among``, only those with both ends in it.

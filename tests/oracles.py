@@ -4,7 +4,9 @@ Everything here re-derives behavior from the raw bundle texts (its own tiny
 TSV parsing, its own adjacency building, its own window matching), so the
 engine's indexes and traversal code are never on both sides of a check.
 Only the tokenizer is shared: the oracles work on token windows by
-definition, and tokenization has its own property tests.
+definition, and tokenization has its own property tests.  The extraction
+oracle tokenizes each raw lemma and glyph itself and tries every one of them
+at every token, so the store's entry index is never on its side.
 """
 
 from __future__ import annotations
@@ -159,39 +161,40 @@ def solve_analogy_oracle(
 
 # -- extraction ----------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RawEntry:
+    """A concept's lemma or glyph as its token texts (spaces dropped), from the raw record."""
+
+    key: str
+    tokens: tuple[str, ...]
+    classes: tuple[TokenClass, ...]
+    glyph: bool
+    concept: RawConcept
+
+    @classmethod
+    def of(cls, concept: RawConcept, glyph: bool) -> "RawEntry":
+        tokens = [t for t in tokenize(concept.glyph if glyph else concept.lemma) if t.cls is not TokenClass.SPACE]
+        return cls(concept.key, tuple(t.text for t in tokens), tuple(t.cls for t in tokens), glyph, concept)
+
+
 @dataclass
 class ExtractTables:
     """Precomputed lookup tables; plain derivations of the raw records."""
 
     form_lemmas: dict[str, set[tuple[str, str | None, str | None]]]
-    concept_lemmas: set[str]
-    single_by_lemma: dict[str, list[RawConcept]]
-    mwes: list[tuple[tuple[str, ...], RawConcept]]
-    glyphs: dict[str, list[str]]
+    entries: list[RawEntry]
 
     @classmethod
     def build(cls, raw: RawData) -> "ExtractTables":
         form_lemmas: dict[str, set] = {}
         for surface, lemma, pos, gender, _tags in raw.forms:
             form_lemmas.setdefault(_fold(surface), set()).add((lemma, pos, gender))
-        single_by_lemma: dict[str, list[RawConcept]] = {}
-        mwes = []
-        glyphs: dict[str, list[str]] = {}
+        entries = []
         for concept in raw.concepts:
-            tokens = tuple(concept.lemma.split())
-            if len(tokens) > 1:
-                mwes.append((tokens, concept))
-            else:
-                single_by_lemma.setdefault(_fold(concept.lemma), []).append(concept)
+            entries.append(RawEntry.of(concept, False))
             if concept.glyph:
-                glyphs.setdefault(concept.glyph, []).append(concept.key)
-        return cls(
-            form_lemmas=form_lemmas,
-            concept_lemmas={_fold(c.lemma) for c in raw.concepts},
-            single_by_lemma=single_by_lemma,
-            mwes=mwes,
-            glyphs=glyphs,
-        )
+                entries.append(RawEntry.of(concept, True))
+        return cls(form_lemmas=form_lemmas, entries=entries)
 
     def readings(self, token_text: str) -> set[str]:
         names = {_fold(token_text)}
@@ -199,34 +202,44 @@ class ExtractTables:
             names.add(_fold(lemma))
         return names
 
-    def mwe_entries(self, token_text: str) -> list[tuple[tuple[str, ...], str]]:
-        """``mwe_index_entries`` as its docstring states it: every multiword
-        concept whose first token shares a reading with the token, by key."""
+    def candidates(self, token_text: str) -> list[tuple[str, tuple[str, ...], bool]]:
+        """``entry_candidates`` as its docstring states it: every entry whose
+        first token shares a reading with the token, as (key, tokens, glyph)."""
         readings = self.readings(token_text)
-        hits = [(tokens, c.key) for tokens, c in self.mwes if self.readings(tokens[0]) & readings]
-        return sorted(hits, key=lambda hit: hit[1])
+        return sorted({(e.key, e.tokens, e.glyph) for e in self.entries if self.readings(e.tokens[0]) & readings})
 
-    def single_candidates(self, token_text: str) -> set[str]:
-        keys = {c.key for c in self.single_by_lemma.get(_fold(token_text), ())}
-        for lemma, pos, gender in self.form_lemmas.get(_fold(token_text), ()):
-            for concept in self.single_by_lemma.get(_fold(lemma), ()):
-                if pos is not None and pos != concept.pos:
-                    continue
-                if gender is not None and gender != concept.gender:
-                    continue
-                keys.add(concept.key)
-        return keys
+    def _form_joins(self, token_text: str, concept: RawConcept) -> bool:
+        """Some form of the token has the concept's lemma, and its POS and gender are unset or agree."""
+        pos = concept.pos.split(":")[0] if concept.pos else None
+        return any(
+            _fold(lemma) == _fold(concept.lemma) and form_pos in (None, pos) and gender in (None, concept.gender)
+            for lemma, form_pos, gender in self.form_lemmas.get(_fold(token_text), ())
+        )
+
+    def matches(self, entry: RawEntry, texts: list[str]) -> bool:
+        """Whether the entry matches the text tokens it lines up with, position by position."""
+        if entry.glyph:
+            return all(unicodedata.normalize("NFC", t) == part for t, part in zip(texts, entry.tokens))
+        if len(entry.tokens) == 1:
+            return _fold(texts[0]) == _fold(entry.tokens[0]) or self._form_joins(texts[0], entry.concept)
+        return all(self.readings(t) & self.readings(part) for t, part in zip(texts, entry.tokens))
 
 
-def _word_window(tokens: list[Token], start: int, length: int) -> list[int] | None:
+def _line_up(tokens: list[Token], start: int, entry: RawEntry) -> list[int] | None:
+    """Text token indexes for each entry position: a glyph contiguous; a lemma
+    skipping spaces, and punctuation where the lemma has none; never a newline."""
     indexes = [start]
     i = start + 1
-    while len(indexes) < length:
-        while i < len(tokens) and tokens[i].cls in (TokenClass.SPACE, TokenClass.PUNCT):
-            if tokens[i].cls is TokenClass.SPACE and "\n" in tokens[i].text:
+    for part_cls in entry.classes[1:]:
+        while not entry.glyph and i < len(tokens):
+            token = tokens[i]
+            skip = token.cls is TokenClass.SPACE or (token.cls is TokenClass.PUNCT and part_cls is not TokenClass.PUNCT)
+            if not skip:
+                break
+            if "\n" in token.text:
                 return None
             i += 1
-        if i >= len(tokens) or tokens[i].cls is not TokenClass.WORD:
+        if i >= len(tokens):
             return None
         indexes.append(i)
         i += 1
@@ -234,45 +247,33 @@ def _word_window(tokens: list[Token], start: int, length: int) -> list[int] | No
 
 
 def extract_oracle(text: str, tables: ExtractTables) -> list[tuple[int, int, frozenset[str]]]:
-    """Window enumeration plus greedy leftmost-longest selection.
+    """Every entry tried at every token, then greedy leftmost-longest selection.
 
-    Returns (start, end, candidate keys) triples; the full concept set is
-    tested against every window, longest match starting at each position
-    wins, scanning resumes after it.
+    Returns (start, end, candidate keys) triples.  At each token that is not
+    a space, every entry of every concept is lined up and checked; of those
+    that match, the ones ending last share the annotation, and scanning
+    resumes after it.
     """
     tokens = tokenize(text)
     results = []
     i = 0
     while i < len(tokens):
-        token = tokens[i]
-        if token.cls is TokenClass.WORD:
-            best: tuple[int, set[str]] | None = None
-            for mwe_tokens, concept in tables.mwes:
-                window = _word_window(tokens, i, len(mwe_tokens))
-                if window is None:
+        best: tuple[int, set[str]] | None = None
+        if tokens[i].cls is not TokenClass.SPACE:
+            for entry in tables.entries:
+                window = _line_up(tokens, i, entry)
+                if window is None or not tables.matches(entry, [tokens[idx].text for idx in window]):
                     continue
-                if all(
-                    tables.readings(tokens[idx].text) & tables.readings(part)
-                    for idx, part in zip(window, mwe_tokens)
-                ):
-                    end_idx = window[-1]
-                    if best is None or end_idx > best[0]:
-                        best = (end_idx, {concept.key})
-                    elif end_idx == best[0]:
-                        best[1].add(concept.key)
-            if best is not None:
-                end_idx, keys = best
-                results.append((token.start, tokens[end_idx].end, frozenset(keys)))
-                i = end_idx + 1
-                continue
-            singles = tables.single_candidates(token.text)
-            if singles:
-                results.append((token.start, token.end, frozenset(singles)))
-        elif token.cls in (TokenClass.SYMBOL, TokenClass.EMOJI):
-            keys = tables.glyphs.get(unicodedata.normalize("NFC", token.text))
-            if keys:
-                results.append((token.start, token.end, frozenset(keys)))
-        i += 1
+                if best is None or window[-1] > best[0]:
+                    best = (window[-1], {entry.key})
+                elif window[-1] == best[0]:
+                    best[1].add(entry.key)
+        if best is None:
+            i += 1
+            continue
+        end_idx, keys = best
+        results.append((tokens[i].start, tokens[end_idx].end, frozenset(keys)))
+        i = end_idx + 1
     return results
 
 

@@ -218,6 +218,16 @@ class TestExtractEndpoint:
         assert dispatch(store, "POST", "/v1/extract", b"not json")[0] == 400
         assert dispatch(store, "POST", "/v1/extract", None)[0] == 400
 
+    def test_text_length_cap(self, store):
+        assert api.MAX_TEXT_CHARS == 100_000
+        text = "pes " + "x" * (api.MAX_TEXT_CHARS - 4)
+        status, payload = dispatch(store, "POST", "/v1/extract", json.dumps({"text": text}).encode())
+        assert status == 200
+        assert [a["chosen"] for a in payload["annotations"]] == ["zviera/pes"]
+        status, payload = dispatch(store, "POST", "/v1/extract", json.dumps({"text": text + "x"}).encode())
+        assert status == 413
+        assert payload["error"] == {"code": "content_too_large", "message": "text over the 100000-character limit"}
+
 
 class TestAdminIngest:
     CONFIG = ApiConfig(admin_token="sezam")

@@ -9,10 +9,13 @@ from konsepta.core import (
     RelationRegistry,
     RelationType,
     Taxonomy,
+    TokenClass,
     UnknownCategoryError,
     ValidationError,
+    entry_tokens,
     fold,
     parse_concept_key,
+    tokenize,
 )
 
 # Slovak letters plus ASCII; slash and control characters excluded by design.
@@ -105,6 +108,28 @@ class TestFold:
         folded = fold(s)
         assert unicodedata.is_normalized("NFC", folded)
         assert fold(folded) == folded
+
+
+class TestEntryTokens:
+    def test_alphabetic_scalar_is_one_word_token(self):
+        # entry_tokens skips the tokenizer for str.isalpha() text; that holds
+        # because every alphabetic scalar is a WORD scalar, and WORD scalars run together.
+        for cp in range(0x110000):
+            ch = chr(cp)
+            if ch.isalpha():
+                [token] = tokenize(ch)
+                assert token.cls is TokenClass.WORD, hex(cp)
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("hruška", ("hruška",)),
+        ("vysoká  škola", ("vysoká", "škola")),
+        ("e-mail", ("e", "-", "mail")),
+        ("COVID19", ("COVID", "19")),
+        ("1\ufe0f\u20e3", ("1", "\ufe0f\u20e3")),
+        ("   ", ()),
+    ])
+    def test_tokens_without_spaces(self, text, tokens):
+        assert entry_tokens(text) == tokens
 
 
 class TestTaxonomy:

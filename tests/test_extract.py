@@ -176,6 +176,66 @@ class TestExtract:
         assert before == after
 
 
+#: (kind, lemma, glyph) of entries whose lemma or glyph is more than one token.
+ODD_ENTRIES = (
+    ("word", "e-mail", ""),
+    ("word", "Rakúsko-Uhorsko", ""),
+    ("word", "COVID19", ""),
+    ("symbol", "copyright", "©️"),
+    ("symbol", "šípka", "->"),
+    ("emoticon", "jednotka", "1️⃣"),
+    ("emoticon", "hore", "⬆️"),
+    ("word", ".NET", ""),
+    ("word", "C++", ""),
+    ("mwe", "Bratislava - hlavné mesto", ""),
+    ("emoticon", "rodina", "👨‍👩‍👧"),
+    ("emoticon", "vlajka", "🇸🇰"),
+)
+
+
+@pytest.fixture(scope="module")
+def odd_store():
+    """The fixture plus :data:`ODD_ENTRIES`, each under the category ``symbol``."""
+    from conftest import load_fixture_store
+
+    store = load_fixture_store()[0]
+    with store.write() as state:
+        for kind, lemma, glyph in ODD_ENTRIES:
+            state.upsert_concept(Concept(ConceptKey(("symbol",), lemma), ConceptKind(kind), PartOfSpeech.NOUN, glyph=glyph))
+    return store
+
+
+class TestOddEntries:
+    """Entries the tokenizer splits extract whole: alone, mid-sentence and against the oracle."""
+
+    @pytest.mark.parametrize("entry", [(lemma, text) for _kind, lemma, glyph in ODD_ENTRIES for text in (lemma, glyph) if text])
+    def test_alone_and_mid_sentence(self, odd_store, entry):
+        lemma, text = entry
+        snap = odd_store.snapshot()
+        for sentence, start in ((text, 0), (f"Vidím {text} tu.", 6)):
+            annotations = extract(sentence, snap)
+            [ann] = [a for a in annotations if a.start == start]
+            assert ann.end == start + len(text), sentence
+            assert "symbol/" + lemma in {c.key for c in ann.candidates}, sentence
+            expected = MatchLevel.GLYPH if text != lemma else MatchLevel.SURFACE
+            assert [d.level for d in ann.derivations if d.key == "symbol/" + lemma] == [expected], sentence
+
+    def test_glyph_tokens_must_touch(self, odd_store):
+        snap = odd_store.snapshot()
+        for text in ("- >", "1 \ufe0f\u20e3", "©, \ufe0f"):
+            assert all(a.match_level is not MatchLevel.GLYPH for a in extract(text, snap)), repr(text)
+
+    def test_matches_oracle(self, odd_store):
+        snap = odd_store.snapshot()
+        tables = oracles.ExtractTables.build(oracles.parse_raw(export_dataset(snap)))
+        entries = [text for _kind, lemma, glyph in ODD_ENTRIES for text in (lemma, glyph) if text]
+        for separator in (" ", ", ", "", "\n"):
+            # A lemma's positions may stand apart; a glyph's may not ("- >", "1 ️⃣").
+            text = separator.join(entries + ["vysoká škola", "🍐", "e - mail", "C + +", "hlavné mesto", "- >", "1 \ufe0f\u20e3"])
+            got = [(a.start, a.end, frozenset(c.key for c in a.candidates)) for a in extract(text, snap)]
+            assert got == oracles.extract_oracle(text, tables), repr(text)
+
+
 class TestDisambiguate:
     def test_lone_ambiguous_lemma_tie_break(self, snap):
         annotations = extract("hruška", snap)

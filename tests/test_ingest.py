@@ -103,6 +103,12 @@ class TestValidation:
         unspaced = ("vec/slovo", "mwe", "noun", "n", "-", "-")
         assert any("requires a spaced lemma" in p for p in _rules("concepts", unspaced))
 
+    def test_lemma_without_non_space_character(self):
+        # Such a lemma has no token for extraction to match, so ingest rejects it.
+        problems = _rules("concepts", ("a/  ", "mwe", "noun", "n", "-", "-"))
+        assert any("lemma has no non-space character" in p for p in problems)
+        assert _rules("concepts", ("a/a b", "mwe", "noun", "n", "-", "-")) == []
+
     def test_field_arity(self):
         assert _rules("concepts", ("a/b", "word")) != []
         assert _rules("relations", ("a/b",)) != []

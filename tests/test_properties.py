@@ -2,7 +2,7 @@
 
 import unicodedata
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from konsepta import DatasetBundle, Store, export_dataset, extract, load_dataset
 from konsepta.extract import MatchLevel
@@ -19,6 +19,18 @@ _LONE = "symbol/hviezdička"
 
 _seg = st.text(alphabet="abcdeáčšž", min_size=1, max_size=5)
 
+#: Scalars that the tokenizer splits a lemma or glyph at: letters, digits,
+#: punctuation, a symbol, emoji, and the emoji variation selector, keycap
+#: and zero-width joiner.
+_ENTRY_SCALARS = "abcáčAŽ019-.+🍐👍⬆©\ufe0f\u20e3\u200d"
+_entry_part = st.text(alphabet=_ENTRY_SCALARS, min_size=1, max_size=5)
+#: A lemma of one to three such parts; one with spaces is a multiword lemma.
+_entry_lemma = st.lists(_entry_part, min_size=1, max_size=3).map(" ".join)
+#: "-" alone is the TSV format's empty value, so it is no glyph.
+_entry_glyph = _entry_part.filter(lambda g: g != "-")
+#: Glyphs of more than one scalar: presentation, keycap, ZWJ and flag sequences, and an arrow.
+_MULTI_SCALAR_GLYPHS = ["©️", "->", "1️⃣", "⬆️", "👨‍👩‍👧", "🇸🇰"]
+
 
 @st.composite
 def bundle_texts(draw) -> dict[str, str]:
@@ -34,9 +46,12 @@ def bundle_texts(draw) -> dict[str, str]:
     keys: list[str] = []
     for _ in range(draw(st.integers(0, 12))):
         path = draw(st.sampled_from(categories))
-        lemma = draw(_seg)
-        if draw(st.booleans()):
-            lemma += " " + draw(_seg)
+        if draw(st.integers(0, 3)) == 0:
+            lemma = draw(_entry_lemma)
+        else:
+            lemma = draw(_seg)
+            if draw(st.booleans()):
+                lemma += " " + draw(_seg)
         key = "/".join(path) + "/" + lemma
         if key in keys:
             continue
@@ -47,7 +62,7 @@ def bundle_texts(draw) -> dict[str, str]:
             kind = draw(st.sampled_from(["word", "word", "word", "symbol", "emoticon"]))
         glyph = "-"
         if kind in ("symbol", "emoticon"):
-            glyph = draw(st.sampled_from(["+", "*", "§", "€", "🍐"]))
+            glyph = draw(st.sampled_from(["+", "*", "§", "€", "🍐", *_MULTI_SCALAR_GLYPHS]))
         pos = draw(st.sampled_from(["noun", "adjective", "verb", "numeral", "-"]))
         gender = draw(st.sampled_from(["m", "f", "n", "-"]))
         translations = draw(st.sampled_from(["-", "en:x", "en:x|cs:y z", "la:verbum"]))
@@ -140,6 +155,45 @@ class TestGeneratedBundles:
         assert got["by_relation_type"] == dict(sorted(scan["by_relation_type"].items()))
 
 
+def _assert_extracts(snap, key: str, entry: str) -> None:
+    """``entry`` alone and between spaces extracts as one span that covers it, with ``key`` a candidate."""
+    for pad in ("", " "):
+        text = pad + entry + pad
+        annotations = extract(text, snap)
+        assert [(a.start, a.end) for a in annotations] == [(len(pad), len(pad) + len(entry))], repr(text)
+        assert key in {c.key for c in annotations[0].candidates}, repr(text)
+
+
+class TestEveryEntryExtracts:
+    """Every lemma and glyph that ingest accepts extracts itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lemma=_entry_lemma, glyph=st.one_of(st.just(""), _entry_glyph, st.sampled_from(_MULTI_SCALAR_GLYPHS)))
+    def test_alone_and_between_spaces(self, lemma, glyph):
+        if " " in lemma:
+            kind, glyph = "mwe", ""
+        else:
+            kind = "symbol" if glyph else "word"
+        line = f"t/{lemma}\t{kind}\tnoun\t-\t{glyph or '-'}\t-"
+        texts = {"taxonomy": f"{SCHEMA_VERSION}\ttaxonomy\nt\n", "concepts": f"{SCHEMA_VERSION}\tconcepts\n{line}\n"}
+        store = Store()
+        assume(load_dataset(DatasetBundle.from_texts(texts), store).rejected == 0)
+        [concept] = store.snapshot().concepts.values()
+        for entry in filter(None, (concept.key.lemma, concept.glyph)):
+            _assert_extracts(store.snapshot(), concept.key.canonical, entry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=bundle_texts())
+    def test_in_generated_bundles(self, texts):
+        store = Store()
+        load_dataset(DatasetBundle.from_texts(texts), store)
+        snap = store.snapshot()
+        for key, concept in snap.concepts.items():
+            assert concept in snap.find_by_lemma(concept.key.lemma.upper())
+            for entry in filter(None, (concept.key.lemma, concept.glyph)):
+                _assert_extracts(snap, key, entry)
+
+
 class TestEdgesAmong:
     def test_lone_key_has_no_edges(self):
         assert _FIXTURE.snapshot().neighbors(_LONE) == []
@@ -162,7 +216,7 @@ class TestDeterminism:
         assert snap.find_by_lemma("hruška") == snap.find_by_lemma("hruška")
         assert snap.find_by_form("hrušky") == snap.find_by_form("hrušky")
         assert snap.neighbors("meno/Miro") == snap.neighbors("meno/Miro")
-        assert snap.mwe_index_entries("vysoká") == snap.mwe_index_entries("vysoká")
+        assert snap.entry_candidates("vysoká") == snap.entry_candidates("vysoká")
         assert snap.edges() == snap.edges()
 
     def test_graph_operations_pure_on_snapshot(self, snap):

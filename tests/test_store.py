@@ -18,6 +18,7 @@ from konsepta import (
     extract,
     load_dataset,
 )
+from konsepta import store as store_module
 from konsepta.api import dispatch
 from konsepta.semantics import semantic_network
 from konsepta.core import (
@@ -34,8 +35,8 @@ import oracles
 
 FRUIT = "jedlo/ovocie/hruška"
 TREE = "rastlina/strom/hruška"
-#: Every index a write transaction maintains in place.
-RAW_INDEXES = ("_lemma_index", "_form_index", "_form_lemma_index", "_glyph_index", "_adj", "_mwe_first")
+#: Every index a write transaction maintains in place: each shared table but the three record tables.
+RAW_INDEXES = tuple(name for name in store_module._SHARED if name not in ("concepts", "forms", "_edges"))
 
 
 class TestGet:
@@ -90,6 +91,19 @@ class TestFindByLemma:
             "meno/Viera",
             "vlastnosť/viera",
         ]
+
+    def test_first_token_of_multiword_is_not_its_lemma(self, snap):
+        # Both share one entry bucket; only the lemma that folds equal is found.
+        assert snap.find_by_lemma("New") == []
+        assert [c.key.canonical for c in snap.find_by_lemma("VYSOKÁ ŠKOLA")] == ["veda/škola/vysoká škola"]
+
+    def test_matches_raw_scan(self, snap, raw):
+        queries = {c.lemma for c in raw.concepts} | {t for c in raw.concepts for t in c.lemma.split()}
+        queries |= {f[0] for f in raw.forms} | {c.glyph for c in raw.concepts if c.glyph}
+        for query in queries | {q.upper() for q in queries}:
+            expected = sorted((c for c in raw.concepts if fold(c.lemma) == fold(query)),
+                              key=lambda c: (c.lemma != query, c.key))
+            assert [c.key.canonical for c in snap.find_by_lemma(query)] == [c.key for c in expected], query
 
     def test_filters(self, snap):
         nouns = snap.find_by_lemma("hruška", LookupFilter(pos=PartOfSpeech.NOUN))
@@ -213,47 +227,57 @@ class TestCategories:
 
 
 class TestMweIndex:
+    """The one entry index: multiword lemmas, one-word lemmas and glyphs, filed under their first token."""
+
+    MWE = "veda/škola/vysoká škola"
+
     def test_first_token_lookup(self, snap):
-        entries = snap.mwe_index_entries("vysoká")
-        assert (("vysoká", "škola"), "veda/škola/vysoká škola") in entries
+        assert (self.MWE, ("vysoká", "škola"), False) in snap.entry_candidates("vysoká")
 
     def test_lemma_of_first_token_lookup(self, snap):
-        entries = snap.mwe_index_entries("vysoký")
-        assert any(key == "veda/škola/vysoká škola" for _tokens, key in entries)
+        assert any(entry.key == self.MWE for entry in snap.entry_candidates("vysoký"))
 
     def test_non_starter_token(self, snap):
-        assert snap.mwe_index_entries("škola") == []
+        assert all(entry.key != self.MWE for entry in snap.entry_candidates("škola"))
+
+    def test_word_lemma_and_glyph_are_entries(self, snap):
+        assert ("jedlo/ovocie/hruška", ("hruška",), False) in snap.entry_candidates("HRUŠKA")
+        assert snap.entry_candidates("🍐") == [("jedlo/ovocie/hruška", ("🍐",), True)]
 
     def test_matches_oracle(self, snap, raw):
         tables = oracles.ExtractTables.build(raw)
-        tokens = {t for c in raw.concepts for t in c.lemma.split()} | {f[0] for f in raw.forms}
+        tokens = {t for entry in tables.entries for t in entry.tokens} | {f[0] for f in raw.forms}
         for token in tokens | {t.upper() for t in tokens}:
-            assert snap.mwe_index_entries(token) == tables.mwe_entries(token), token
+            assert snap.entry_candidates(token) == tables.candidates(token), token
 
     def test_union_over_first_tokens_covers_all_mwes(self, snap):
-        mwes = {
-            key
-            for key, concept in snap.concepts.items()
-            if concept.kind is ConceptKind.MULTIWORD
-        }
+        mwes = {key for key, concept in snap.concepts.items() if concept.kind is ConceptKind.MULTIWORD}
         union = set()
         for key in mwes:
             first = snap.concepts[key].key.lemma.split()[0]
-            union.update(k for _tokens, k in snap.mwe_index_entries(first))
+            union.update(entry.key for entry in snap.entry_candidates(first) if entry.key in mwes)
         assert union == mwes
+
+    def test_union_over_first_tokens_covers_every_entry(self, snap, raw):
+        entries = {(e.key, e.tokens, e.glyph) for e in oracles.ExtractTables.build(raw).entries}
+        union = set()
+        for _key, tokens, _glyph in entries:
+            union.update(snap.entry_candidates(tokens[0]))
+        assert union == entries
 
 
 class TestIndexCoherence:
-    def test_every_concept_reachable_through_all_indexes(self, snap):
+    def test_every_concept_reachable_through_all_indexes(self, snap, raw):
+        entries = {}
+        for entry in oracles.ExtractTables.build(raw).entries:
+            entries.setdefault(entry.key, []).append((entry.key, entry.tokens, entry.glyph))
         for key, concept in snap.concepts.items():
             assert snap.get(key) == concept
             assert concept in snap.find_by_lemma(concept.key.lemma)
             assert concept in snap.find_by_lemma(concept.key.lemma, LookupFilter(category_prefix=concept.key.path[:1]))
-            if concept.kind is ConceptKind.MULTIWORD:
-                first = concept.key.lemma.split()[0]
-                assert any(k == key for _t, k in snap.mwe_index_entries(first))
-            if concept.glyph:
-                assert key in snap.glyph_lookup(concept.glyph)
+            assert len(entries[key]) == (2 if concept.glyph else 1)
+            for entry in entries[key]:
+                assert entry in snap.entry_candidates(entry[1][0]), entry
 
 
 class TestMutation:
@@ -332,6 +356,7 @@ CAT = Concept(ConceptKey(("zviera",), "mačka"), ConceptKind.WORD, PartOfSpeech.
 HIGH_MOUNTAIN = Concept(
     ConceptKey(("veda", "škola"), "vysoká hora"), ConceptKind.MULTIWORD, PartOfSpeech.NOUN, gender=Gender.FEMININE
 )
+COPYRIGHT = Concept(ConceptKey(("symbol",), "copyright"), ConceptKind.SYMBOL, PartOfSpeech.NOUN, glyph="©️")
 
 
 class TestSealedSnapshot:
@@ -377,17 +402,22 @@ class TestCopyOnWrite:
     """
 
     WRITES = {
-        "word concept": (lambda s: s.upsert_concept(CAT), {("concepts", None), ("_lemma_index", "mačka")}),
+        "word concept": (lambda s: s.upsert_concept(CAT), {("concepts", None), ("_entries", "mačka")}),
         "relation": (
             lambda s: s.upsert_relation("zviera/pes", "meno/Miro", "related"),
             {("_edges", None), ("_adj", "zviera/pes"), ("_adj", "meno/Miro")},
         ),
         "multiword concept": (
             lambda s: s.upsert_concept(HIGH_MOUNTAIN),
-            {("concepts", None), ("_lemma_index", "vysoká hora"), ("_mwe_first", "vysoká")},
+            {("concepts", None), ("_entries", "vysoká")},
+        ),
+        # A lemma and a glyph: two entries, each under its own first token.
+        "glyph concept": (
+            lambda s: s.upsert_concept(COPYRIGHT),
+            {("concepts", None), ("_entries", "copyright"), ("_entries", "©")},
         ),
         # A new reading for a multiword first token: only the form's own
-        # buckets change, as multiword lookup joins the indexes when read.
+        # buckets change, as entry lookup joins the indexes when read.
         "form of a first token": (
             lambda s: s.upsert_form(WordForm("vysoká", "vysokánsky", PartOfSpeech.ADJECTIVE, Gender.FEMININE, "")),
             {("forms", None), ("_form_index", "vysoká"), ("_form_lemma_index", "vysokánsky")},
@@ -517,9 +547,9 @@ def _rebuilt(snap):
     return store.snapshot()
 
 
-def _mwe_first_token_readings(raw: oracles.RawData) -> set[str]:
-    """Folded first tokens of stored multiword lemmas plus their form lemmas."""
-    firsts = {fold(c.lemma.split()[0]) for c in raw.concepts if c.kind == "mwe"}
+def _first_token_readings(tables: oracles.ExtractTables, raw: oracles.RawData) -> set[str]:
+    """Folded first tokens of stored entries plus their form lemmas."""
+    firsts = {fold(entry.tokens[0]) for entry in tables.entries}
     readings = set(firsts)
     for surface, lemma, _pos, _gender, _tags in raw.forms:
         if fold(surface) in firsts:
@@ -585,18 +615,17 @@ class TestRebuildEquality:
             assert set(snap.as_read_neighbors(key)) == adjacency[key], (where, key)
             view = dispatch(store, "GET", "/v1/concepts/" + urllib.parse.quote(key, safe=""))[1]
             assert view["concept"]["forms"] == oracles.concept_forms(raw, key), (where, key)
-        for reading in _mwe_first_token_readings(raw) | {fold(f) for f in self.FIRSTS}:
-            assert snap.mwe_index_entries(reading) == fresh.mwe_index_entries(reading), (where, reading)
         tables = oracles.ExtractTables.build(raw)
-        for token in set(self.FIRSTS) | set(self.SURFACES) | set(self.WORDS) | set(self.FORM_LEMMAS):
-            assert snap.mwe_index_entries(token) == tables.mwe_entries(token), (where, token)
+        for reading in _first_token_readings(tables, raw) | {fold(f) for f in self.FIRSTS}:
+            assert snap.entry_candidates(reading) == fresh.entry_candidates(reading), (where, reading)
+        probes = set(self.FIRSTS) | set(self.SURFACES) | set(self.WORDS) | set(self.FORM_LEMMAS) | set(self.GLYPHS)
+        for token in probes:
+            assert snap.entry_candidates(token) == tables.candidates(token), (where, token)
         lemmas = {c.key.lemma for c in snap.concepts.values()} | set(self.WORDS) | set(self.FORM_LEMMAS)
         for lemma in lemmas:
             assert snap.find_by_lemma(lemma) == fresh.find_by_lemma(lemma), (where, lemma)
         for surface in {f.surface for f in snap.forms.values()} | set(self.SURFACES):
             assert snap.form_lookup(surface) == fresh.form_lookup(surface), (where, surface)
-        for glyph in self.GLYPHS:
-            assert snap.glyph_lookup(glyph) == fresh.glyph_lookup(glyph), (where, glyph)
         assert snap.stats() == fresh.stats(), where
         names = [None] + snap.registry.names()
         for key in probe.sample(sorted(snap.concepts), min(3, len(snap.concepts))):
