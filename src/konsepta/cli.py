@@ -17,6 +17,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .api import SCHEMA, ApiConfig, dispatch, serialize_body, serve
 from .extract import DEFAULT_WEIGHTS, DisambiguationWeights
 from .ingest import (
@@ -114,7 +115,7 @@ def _encode(params: list[tuple[str, str]]) -> str:
 
 
 @click.group()
-@click.version_option(package_name="konsepta")
+@click.version_option(version=__version__)
 @click.option(
     "--data",
     "data_dir",

@@ -1,7 +1,8 @@
 """Core domain model: concept keys, taxonomy, relation-type registry.
 
-Everything in this module is an immutable value (or becomes read-only once a
-dataset has loaded), so objects can be shared freely between threads.
+Everything in this module is an immutable value, or a table (the taxonomy
+and the relation-type registry) that only a store's write transaction
+changes, on its own copy; so objects can be shared freely between threads.
 
 A concept is identified by its lemma plus the full taxonomy path of the
 category it sits in; the canonical string form joins the path segments and
@@ -15,7 +16,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 #: Language codes accepted in concept translations.
 LANGUAGE_CODES = ("en", "cs", "de", "hu", "pl", "hr", "fr", "it", "es", "pt", "la")
@@ -149,24 +150,13 @@ def parse_concept_key(s: str) -> ConceptKey:
     return ConceptKey(tuple(parts[:-1]), parts[-1])
 
 
-class _Sealable:
-    """Part of a snapshot; once the snapshot commits, :meth:`seal` makes its writes raise."""
-
-    _sealed = False
-
-    def seal(self) -> None:
-        self._sealed = True
-
-    def _check_open(self) -> None:
-        if self._sealed:
-            raise KonseptaError(f"{type(self).__name__} of a committed snapshot is sealed; write inside Store.write()")
-
-
-class Taxonomy(_Sealable):
+class Taxonomy:
     """Forest of registered category paths.
 
     Registration requires the parent chain to exist, which keeps every stored
-    path a root-to-node chain and the structure trivially acyclic.
+    path a root-to-node chain and the structure trivially acyclic.  Only a
+    write transaction registers (``StoreState.register_category``), so the
+    taxonomy a snapshot holds is read-only.
     """
 
     def __init__(self) -> None:
@@ -178,29 +168,23 @@ class Taxonomy(_Sealable):
     def __contains__(self, path: Sequence[str]) -> bool:
         return tuple(path) in self._nodes
 
-    def register(self, path: Sequence[str]) -> bool:
-        """Register a category; returns False when it already existed."""
-        self._check_open()
-        normalized = tuple(nfc(seg) for seg in path)
-        if not normalized:
+    def _register(self, path: tuple[str, ...]) -> None:
+        """Add a new NFC ``path``; raises unless it is well formed and its parent is registered."""
+        if not path:
             raise KeyFormatError("empty category path")
-        for seg in normalized:
+        for seg in path:
             _check_component(seg, "category segment")
-        if normalized in self._nodes:
-            return False
-        parent = normalized[:-1]
+        parent = path[:-1]
         if parent and parent not in self._nodes:
             raise UnknownCategoryError(
                 f"parent category not registered: {'/'.join(parent)}"
             )
-        self._nodes.add(normalized)
-        return True
+        self._nodes.add(path)
 
     def paths(self) -> list[tuple[str, ...]]:
         return sorted(self._nodes, key="/".join)
 
-    def clone(self) -> "Taxonomy":
-        """A writable copy, even of a sealed one."""
+    def copy(self) -> "Taxonomy":
         fresh = Taxonomy()
         fresh._nodes = set(self._nodes)
         return fresh
@@ -230,11 +214,15 @@ class RelationType:
         object.__setattr__(self, "inverse", inverse)
 
 
-class RelationRegistry(_Sealable):
-    """Registry of relation types; a committed snapshot's is sealed."""
+class RelationRegistry:
+    """Registry of relation types, by name.
 
-    def __init__(self) -> None:
-        self._types: dict[str, RelationType] = {}
+    Only a write transaction changes it (``StoreState.upsert_relation_type``),
+    so the registry a snapshot holds is read-only.
+    """
+
+    def __init__(self, types: Mapping[str, RelationType] | None = None) -> None:
+        self._types: dict[str, RelationType] = dict(types or {})
 
     def __len__(self) -> int:
         return len(self._types)
@@ -253,19 +241,6 @@ class RelationRegistry(_Sealable):
 
     def types(self) -> list[RelationType]:
         return [self._types[n] for n in self.names()]
-
-    def upsert(self, rt: RelationType) -> str:
-        """Insert or replace a type; returns the disposition."""
-        self._check_open()
-        old = self._types.get(rt.name)
-        if old == rt:
-            return "unchanged"
-        self._types[rt.name] = rt
-        return "updated" if old is not None else "inserted"
-
-    def remove(self, name: str) -> None:
-        self._check_open()
-        self._types.pop(name, None)
 
     def pairing_problems(self) -> dict[str, str]:
         """Involution check: maps offending type names to a reason.
@@ -294,11 +269,8 @@ class RelationRegistry(_Sealable):
             return name
         return rt.inverse
 
-    def clone(self) -> "RelationRegistry":
-        """A writable copy, even of a sealed one."""
-        fresh = RelationRegistry()
-        fresh._types = dict(self._types)
-        return fresh
+    def copy(self) -> "RelationRegistry":
+        return RelationRegistry(self._types)
 
 
 @dataclass(frozen=True)
@@ -370,6 +342,8 @@ def validate_concept(concept: Concept) -> list[str]:
             problems.append(f"lemma contains spaces, kind must be {ConceptKind.MULTIWORD.value}: {lemma!r}")
         else:
             problems.append(f"kind {ConceptKind.MULTIWORD.value} requires a spaced lemma: {lemma!r}")
+    if lemma != lemma.strip() and not lemma.isspace():
+        problems.append(f"lemma may not start or end with whitespace, or no text can match it as written: {lemma!r}")
     has_glyph = bool(concept.glyph)
     if concept.kind in GLYPH_KINDS and not has_glyph:
         problems.append(f"glyph required for kind {concept.kind.value}")
@@ -420,6 +394,8 @@ class WordForm:
         for what, value in (("surface", surface), ("lemma", lemma)):
             if _CONTROL.search(value):
                 problems.append(f"form {what} contains a control character: {value!r}")
+            if value != value.strip():
+                problems.append(f"form {what} may not be blank or start or end with whitespace: {value!r}")
         tags = nfc(self.tags) if self.tags else ""
         if not _flat(tags):
             problems.append("form tags may not contain tabs or newlines")

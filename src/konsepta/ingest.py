@@ -22,6 +22,7 @@ from .core import (
     Gender,
     KonseptaError,
     PartOfSpeech,
+    RelationRegistry,
     RelationType,
     UnknownConceptError,
     UnknownRelationTypeError,
@@ -281,8 +282,7 @@ def load_dataset(bundle: DatasetBundle, store) -> IngestReport:
         _load_relation_types(records["relation_types"], state, report)
         # Parents first, so in-file order never matters; file order breaks ties.
         taxonomy = sorted(records["taxonomy"], key=lambda rec: rec.fields[0].count("/"))
-        _load(taxonomy, "taxonomy", report, lambda rec: (
-            "inserted" if state.taxonomy.register(rec.fields[0].split("/")) else "unchanged"))
+        _load(taxonomy, "taxonomy", report, lambda rec: state.register_category(rec.fields[0].split("/")))
         _load(records["concepts"], "concepts", report,
               lambda rec: state.upsert_concept(decode_concept(rec.fields)))
         _load(records["forms"], "forms", report, lambda rec: state.upsert_form(decode_form(rec.fields)))
@@ -327,14 +327,14 @@ def _upsert_relation(state, source: str, target: str, type_name: str) -> str:
 
 
 def _load_relation_types(records, state, report) -> None:
-    trial = state.registry.clone()
+    trial = {rt.name: rt for rt in state.registry.types()}
     accepted: list[tuple[RawRecord, RelationType]] = []
 
     def stage(rec: RawRecord) -> None:
         rt = decode_relation_type(rec.fields)
         if state.relation_count_for(rt.name) and state.registry.get(rt.name) != rt:
             raise KonseptaError(f"type in use by stored edges: {rt.name}")
-        trial.upsert(rt)
+        trial[rt.name] = rt
         accepted.append((rec, rt))
 
     _load(records, "relation_types", report, stage)
@@ -342,18 +342,18 @@ def _load_relation_types(records, state, report) -> None:
     # remainder is consistent (removing one type can orphan its partner).
     dropped: dict[str, str] = {}
     while True:
-        problems = trial.pairing_problems()
+        problems = RelationRegistry(trial).pairing_problems()
         fresh = {n: p for n, p in problems.items() if n not in dropped}
         if not fresh:
             break
         for name, why in fresh.items():
-            trial.remove(name)
+            del trial[name]
             dropped[name] = why
     for rec, rt in accepted:
         if rt.name in dropped:
             report._reject("relation_types", rec.line, dropped[rt.name])
         else:
-            report._tally("relation_types", state.registry.upsert(rt))
+            report._tally("relation_types", state.upsert_relation_type(rt))
 
 
 # --- export ----------------------------------------------------------------

@@ -9,19 +9,19 @@ clone and leaves the store untouched.
 
 A write costs what it touches, not what the store holds (structural
 sharing, as in Bagwell's "Ideal Hash Trees", at its simplest: two levels
-of copy-on-write).  The clone shares every table and index bucket with its
-base; a mutator copies a table, and then a bucket, the first time the
-transaction writes to it, and at most once.  Every index is kept by the
-mutators; nothing is derived at commit.  Entry lookup joins three of them
-when it is read.  Because tables and buckets are shared, a committed
-snapshot is sealed: its mutators, and those of its taxonomy and registry,
-raise.
+of copy-on-write).  Every part of a snapshot is a table: the taxonomy, the
+relation-type registry, the records, the counters and the indexes.  The
+clone shares every table and index bucket with its base; a mutator copies
+a table, and then a bucket, the first time the transaction writes to it,
+and at most once.  Every write is a mutator of the state, and so is every
+index and counter update; nothing is derived at commit.  Because tables
+and buckets are shared, a committed snapshot is sealed: its mutators raise.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,6 +35,7 @@ from .core import (
     PartOfSpeech,
     RelationEdge,
     RelationRegistry,
+    RelationType,
     Taxonomy,
     UnknownConceptError,
     UnknownEdgeError,
@@ -106,14 +107,6 @@ def _pos_key(pos: PartOfSpeech | None) -> str:
     return pos.value if pos else "-"
 
 
-def _bump(counter: dict[str, int], key: str, delta: int) -> None:
-    value = counter.get(key, 0) + delta
-    if value:
-        counter[key] = value
-    else:
-        counter.pop(key, None)
-
-
 class Entry(NamedTuple):
     """A concept's lemma or glyph as extraction matches it: a sequence of token texts."""
 
@@ -130,9 +123,12 @@ def _entries_of(canonical: str, concept: Concept) -> list[Entry]:
     return entries
 
 
-#: The tables a transaction shares with its base until its first write to
-#: them; the last four are indexes whose set buckets are shared likewise.
-_SHARED = ("concepts", "forms", "_edges", "_entries", "_form_index", "_form_lemma_index", "_adj")
+#: The indexes: each maps a key to a set bucket, and a transaction shares
+#: the buckets with its base like the tables (:meth:`StoreState._bucket`).
+_INDEXES = ("_entries", "_form_index", "_form_lemma_index", "_adj")
+#: Every table of a snapshot.  A transaction shares each with its base until
+#: its first write to it (:meth:`StoreState._table`).
+_SHARED = ("taxonomy", "registry", "concepts", "forms", "_edges", "_by_pos", "_by_kind", "_by_type") + _INDEXES
 
 
 class StoreState:
@@ -164,23 +160,17 @@ class StoreState:
         # still the base's own object is shared and is copied before a write;
         # the base is sealed and alive, so identity is stable.  None once
         # this state is sealed.
-        self._shared: dict[str, dict] | None = {name: {} for name in _SHARED}
+        self._shared: dict[str, object] | None = {name: {} for name in _SHARED}
 
     # -- write-transaction plumbing -----------------------------------------
 
     def clone(self) -> "StoreState":
         """An open copy of this sealed snapshot that shares every table and bucket.
 
-        Copies only the taxonomy, the registry and the counters.  A table is
-        copied on the transaction's first write to it (:meth:`_table`), and
-        an index bucket likewise (:meth:`_bucket`).
+        It copies nothing: a table is copied on the transaction's first write
+        to it (:meth:`_table`), and an index bucket likewise (:meth:`_bucket`).
         """
         fresh = StoreState()
-        fresh.taxonomy = self.taxonomy.clone()
-        fresh.registry = self.registry.clone()
-        fresh._by_pos = dict(self._by_pos)
-        fresh._by_kind = dict(self._by_kind)
-        fresh._by_type = dict(self._by_type)
         fresh._shared = {name: getattr(self, name) for name in _SHARED}
         for name, table in fresh._shared.items():
             setattr(fresh, name, table)
@@ -189,23 +179,20 @@ class StoreState:
     def freeze(self) -> None:
         """Seal this state; called once when a transaction commits, and on a new store's empty state.
 
-        After it, the mutators of the state, its taxonomy and its registry
-        raise :class:`KonseptaError`, and the state no longer holds its
-        base's tables.
+        After it, every mutator raises :class:`KonseptaError`, and the
+        state no longer holds its base's tables.
         """
         self._shared = None
-        self.taxonomy.seal()
-        self.registry.seal()
 
     def _check_open(self) -> None:
         if self._shared is None:
             raise KonseptaError("snapshot is sealed; write inside Store.write()")
 
-    def _table(self, name: str) -> dict:
+    def _table(self, name: str):
         """The writable table ``name``, copied on this state's first write to it."""
         table = getattr(self, name)
         if table is self._shared[name]:
-            table = dict(table)
+            table = table.copy()
             setattr(self, name, table)
         return table
 
@@ -223,7 +210,33 @@ class StoreState:
         if not bucket:
             del getattr(self, index)[name]
 
+    def _bump(self, counter: str, key: str, delta: int) -> None:
+        table = self._table(counter)
+        value = table.get(key, 0) + delta
+        if value:
+            table[key] = value
+        else:
+            table.pop(key, None)
+
     # -- mutators -------------------------------------------------------------
+
+    def register_category(self, path: Sequence[str]) -> str:
+        """Register a category path under a registered parent; returns the disposition."""
+        self._check_open()
+        path = tuple(nfc(seg) for seg in path)
+        if path in self.taxonomy:
+            return "unchanged"
+        self._table("taxonomy")._register(path)
+        return "inserted"
+
+    def upsert_relation_type(self, rt: RelationType) -> str:
+        """Insert or replace a relation type; ingest checks inverse pairings before it calls this."""
+        self._check_open()
+        old = self.registry.get(rt.name) if rt.name in self.registry else None
+        if old == rt:
+            return "unchanged"
+        self._table("registry")._types[rt.name] = rt
+        return "updated" if old is not None else "inserted"
 
     def upsert_concept(self, concept: Concept) -> str:
         self._check_open()
@@ -242,15 +255,15 @@ class StoreState:
         self._table("concepts")[canonical] = concept
         for entry in _entries_of(canonical, concept):
             self._bucket("_entries", fold(entry.tokens[0])).add(entry)
-        _bump(self._by_pos, _pos_key(concept.pos), 1)
-        _bump(self._by_kind, concept.kind.value, 1)
+        self._bump("_by_pos", _pos_key(concept.pos), 1)
+        self._bump("_by_kind", concept.kind.value, 1)
         return "updated" if old is not None else "inserted"
 
     def _unindex_concept(self, canonical: str, concept: Concept) -> None:
         for entry in _entries_of(canonical, concept):
             self._discard("_entries", fold(entry.tokens[0]), entry)
-        _bump(self._by_pos, _pos_key(concept.pos), -1)
-        _bump(self._by_kind, concept.kind.value, -1)
+        self._bump("_by_pos", _pos_key(concept.pos), -1)
+        self._bump("_by_kind", concept.kind.value, -1)
 
     def remove_concept(self, key: str | ConceptKey) -> None:
         self._check_open()
@@ -286,7 +299,7 @@ class StoreState:
         self._table("_edges")[edge_key] = edge
         self._bucket("_adj", edge.source).add(edge_key)
         self._bucket("_adj", edge.target).add(edge_key)
-        _bump(self._by_type, edge.type, 1)
+        self._bump("_by_type", edge.type, 1)
         return "inserted"
 
     def remove_relation(self, source: str, target: str, type_name: str) -> None:
@@ -301,7 +314,7 @@ class StoreState:
         edge = self._table("_edges").pop(edge_key)
         self._discard("_adj", edge.source, edge_key)
         self._discard("_adj", edge.target, edge_key)
-        _bump(self._by_type, edge.type, -1)
+        self._bump("_by_type", edge.type, -1)
 
     # -- reads ----------------------------------------------------------------
 

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import konsepta
 from konsepta.api import dispatch, serialize_body
 from konsepta.cli import main
 from konsepta.ingest import SCHEMA_VERSION, export_dataset, write_bundle
@@ -15,6 +18,18 @@ def runner():
 
 def run(runner, args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+class TestVersion:
+    def test_version_without_installed_metadata(self, runner):
+        # The version comes from the package itself, so a source checkout reports it too.
+        result = run(runner, ["--version"])
+        assert result.exit_code == 0
+        assert result.output.endswith(f", version {konsepta.__version__}\n")
+
+    def test_version_matches_pyproject(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE) == [konsepta.__version__]
 
 
 class TestSearch:

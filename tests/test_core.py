@@ -8,7 +8,6 @@ from konsepta.core import (
     KeyFormatError,
     RelationRegistry,
     RelationType,
-    Taxonomy,
     TokenClass,
     UnknownCategoryError,
     ValidationError,
@@ -17,6 +16,7 @@ from konsepta.core import (
     parse_concept_key,
     tokenize,
 )
+from konsepta.store import Store
 
 # Slovak letters plus ASCII; slash and control characters excluded by design.
 _component_alphabet = "aáäbcčdďeéfghiíjklĺľmnňoóôpqrŕsštťuúvwxyýzž AŠŽ0123456789-"
@@ -133,23 +133,24 @@ class TestEntryTokens:
 
 
 class TestTaxonomy:
+    """Categories are registered through ``StoreState.register_category`` inside a write."""
+
     def test_register_chain(self):
-        tax = Taxonomy()
-        assert tax.register(("rastlina",))
-        assert tax.register(("rastlina", "strom"))
-        assert ("rastlina",) in tax
-        assert ("rastlina", "strom") in tax
+        with Store().write() as state:
+            assert state.register_category(("rastlina",)) == "inserted"
+            assert state.register_category(("rastlina", "strom")) == "inserted"
+        assert ("rastlina",) in state.taxonomy
+        assert ("rastlina", "strom") in state.taxonomy
 
     def test_register_idempotent(self):
-        tax = Taxonomy()
-        tax.register(("rastlina",))
-        assert tax.register(("rastlina",)) is False
-        assert len(tax) == 1
+        with Store().write() as state:
+            state.register_category(("rastlina",))
+            assert state.register_category(("rastlina",)) == "unchanged"
+        assert len(state.taxonomy) == 1
 
     def test_dangling_parent(self):
-        tax = Taxonomy()
-        with pytest.raises(UnknownCategoryError):
-            tax.register(("rastlina", "strom"))
+        with pytest.raises(UnknownCategoryError), Store().write() as state:
+            state.register_category(("rastlina", "strom"))
 
     def test_all_fixture_ancestors_registered(self, snap):
         # Forest property: every proper prefix of a registered path is registered.
@@ -198,18 +199,24 @@ class TestRelationRegistry:
             RelationType("UPPER")
 
     def test_missing_inverse_raises(self):
-        registry = RelationRegistry()
-        registry.upsert(RelationType("points-at"))
+        with Store().write() as state:
+            assert state.upsert_relation_type(RelationType("points-at")) == "inserted"
         # A forward-only type has no backwards reading.
-        assert registry.reading_back("points-at") is None
+        assert state.registry.reading_back("points-at") is None
 
     def test_pairing_problem_detected(self):
-        registry = RelationRegistry()
-        registry.upsert(RelationType("a-rel", inverse="b-rel"))
-        registry.upsert(RelationType("b-rel", inverse="c-rel"))
-        registry.upsert(RelationType("c-rel", inverse="b-rel"))
-        problems = registry.pairing_problems()
+        # Ingest checks the types it stages this way before it writes any.
+        types = [RelationType("a-rel", inverse="b-rel"), RelationType("b-rel", inverse="c-rel"),
+                 RelationType("c-rel", inverse="b-rel")]
+        problems = RelationRegistry({rt.name: rt for rt in types}).pairing_problems()
         assert "a-rel" in problems
+
+    def test_upsert_dispositions(self):
+        with Store().write() as state:
+            assert state.upsert_relation_type(RelationType("points-at")) == "inserted"
+            assert state.upsert_relation_type(RelationType("points-at")) == "unchanged"
+            assert state.upsert_relation_type(RelationType("points-at", symmetric=True)) == "updated"
+        assert state.registry.get("points-at").symmetric
 
     def test_fixture_registry_matches_default(self, fixture_texts, snap):
         # every type the fixture file declares survives the load

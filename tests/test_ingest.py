@@ -109,6 +109,20 @@ class TestValidation:
         assert any("lemma has no non-space character" in p for p in problems)
         assert _rules("concepts", ("a/a b", "mwe", "noun", "n", "-", "-")) == []
 
+    def test_lemma_with_surrounding_whitespace(self):
+        # Its entry drops the space, so no text could match the lemma as written.
+        for lemma in (" x", "x ", " x y", "x y\u00a0"):
+            problems = _rules("concepts", (f"a/{lemma}", "mwe", "noun", "n", "-", "-"))
+            assert problems == [f"lemma may not start or end with whitespace, or no text can match it as written: {lemma!r}"]
+        assert _rules("concepts", ("a/x  y", "mwe", "noun", "n", "-", "-")) == []
+
+    def test_form_with_surrounding_whitespace(self):
+        for surface, lemma in ((" ", "pes"), (" psa", "pes"), ("psa ", "pes"), ("psa", " pes"), ("psa", "\u3000")):
+            problems = _rules("forms", (surface, lemma, "noun", "m", "-"))
+            assert len(problems) == 1 and "may not be blank or start or end with whitespace" in problems[0], (surface, lemma)
+        # A space inside a surface is allowed; only search finds such a form.
+        assert _rules("forms", ("na psa", "pes", "noun", "m", "-")) == []
+
     def test_field_arity(self):
         assert _rules("concepts", ("a/b", "word")) != []
         assert _rules("relations", ("a/b",)) != []

@@ -35,8 +35,8 @@ import oracles
 
 FRUIT = "jedlo/ovocie/hruška"
 TREE = "rastlina/strom/hruška"
-#: Every index a write transaction maintains in place: each shared table but the three record tables.
-RAW_INDEXES = tuple(name for name in store_module._SHARED if name not in ("concepts", "forms", "_edges"))
+#: Every index a write transaction maintains in place; its set buckets are shared like the tables.
+RAW_INDEXES = store_module._INDEXES
 
 
 class TestGet:
@@ -184,7 +184,7 @@ class TestNeighbors:
 
     def test_inverseless_type_raw_direction(self, fresh_store):
         with fresh_store.write() as state:
-            state.registry.upsert(RelationType("cites"))
+            state.upsert_relation_type(RelationType("cites"))
             state.upsert_relation("meno/Miro", "meno/Mirko", "cites")
         snap = fresh_store.snapshot()
         assert snap.neighbors("meno/Miro", "cites", "outgoing") == [("cites", "meno/Mirko")]
@@ -368,9 +368,8 @@ class TestSealedSnapshot:
         "upsert_form": lambda s: s.upsert_form(WordForm("mačky", "mačka", PartOfSpeech.NOUN, Gender.FEMININE, "pl.nom")),
         "upsert_relation": lambda s: s.upsert_relation("zviera/pes", "meno/Miro", "related"),
         "remove_relation": lambda s: s.remove_relation(*_first_edge(s)),
-        "taxonomy.register": lambda s: s.taxonomy.register(["zviera", "drak"]),
-        "registry.upsert": lambda s: s.registry.upsert(RelationType("cites")),
-        "registry.remove": lambda s: s.registry.remove("related"),
+        "register_category": lambda s: s.register_category(["zviera", "drak"]),
+        "upsert_relation_type": lambda s: s.upsert_relation_type(RelationType("cites")),
     }
 
     @pytest.mark.parametrize("mutator", sorted(MUTATIONS))
@@ -386,13 +385,19 @@ class TestSealedSnapshot:
         with pytest.raises(KonseptaError, match="sealed"):
             Store().snapshot().upsert_concept(CAT)
 
-    def test_clones_of_sealed_parts_are_writable(self, snap):
-        assert snap.taxonomy.clone().register(["zviera", "drak"]) is True
-        registry = snap.registry.clone()
-        assert registry.upsert(RelationType("cites")) == "inserted"
-        registry.remove("cites")
-        assert "cites" not in registry and "cites" not in snap.registry
-        assert ("zviera", "drak") not in snap.taxonomy
+    def test_clones_of_sealed_parts_are_writable(self, fresh_store):
+        snap = fresh_store.snapshot()
+        with fresh_store.write() as state:
+            assert state.register_category(["zviera", "drak"]) == "inserted"
+            assert state.upsert_relation_type(RelationType("cites")) == "inserted"
+        assert ("zviera", "drak") in state.taxonomy and "cites" in state.registry
+        assert ("zviera", "drak") not in snap.taxonomy and "cites" not in snap.registry
+
+    @pytest.mark.parametrize("part", ["taxonomy", "registry"])
+    def test_taxonomy_and_registry_have_no_mutators(self, snap, part):
+        # Every write is a StoreState mutator; the parts a snapshot holds only read.
+        for name in ("register", "upsert", "remove", "clone", "seal"):
+            assert not hasattr(getattr(snap, part), name), (part, name)
 
 
 class TestCopyOnWrite:
@@ -401,21 +406,25 @@ class TestCopyOnWrite:
     A touched table is named with the bucket ``None``.
     """
 
+    #: A concept write also bumps the counters by part of speech and by kind.
+    COUNTED = {("_by_pos", None), ("_by_kind", None)}
     WRITES = {
-        "word concept": (lambda s: s.upsert_concept(CAT), {("concepts", None), ("_entries", "mačka")}),
+        "word concept": (lambda s: s.upsert_concept(CAT), {("concepts", None), ("_entries", "mačka")} | COUNTED),
         "relation": (
             lambda s: s.upsert_relation("zviera/pes", "meno/Miro", "related"),
-            {("_edges", None), ("_adj", "zviera/pes"), ("_adj", "meno/Miro")},
+            {("_edges", None), ("_adj", "zviera/pes"), ("_adj", "meno/Miro"), ("_by_type", None)},
         ),
         "multiword concept": (
             lambda s: s.upsert_concept(HIGH_MOUNTAIN),
-            {("concepts", None), ("_entries", "vysoká")},
+            {("concepts", None), ("_entries", "vysoká")} | COUNTED,
         ),
         # A lemma and a glyph: two entries, each under its own first token.
         "glyph concept": (
             lambda s: s.upsert_concept(COPYRIGHT),
-            {("concepts", None), ("_entries", "copyright"), ("_entries", "©")},
+            {("concepts", None), ("_entries", "copyright"), ("_entries", "©")} | COUNTED,
         ),
+        "category": (lambda s: s.register_category(["zviera", "drak"]), {("taxonomy", None)}),
+        "relation type": (lambda s: s.upsert_relation_type(RelationType("cites")), {("registry", None)}),
         # A new reading for a multiword first token: only the form's own
         # buckets change, as entry lookup joins the indexes when read.
         "form of a first token": (
@@ -432,13 +441,29 @@ class TestCopyOnWrite:
             apply(state)
         snap = fresh_store.snapshot()
         tables = {table for table, _name in touched}
-        for table in ("concepts", "forms", "_edges") + RAW_INDEXES:
+        for table in store_module._SHARED:
             assert (getattr(snap, table) is getattr(base, table)) == (table not in tables), table
         for index in RAW_INDEXES:
             old, new = getattr(base, index), getattr(snap, index)
             for name, bucket in old.items():
                 assert (new.get(name) is bucket) == ((index, name) not in touched), (index, name)
             assert {(index, name) for name in new.keys() - old.keys()} <= touched, index
+
+    def test_one_concept_write_shares_taxonomy_and_registry(self, fresh_store):
+        base = fresh_store.snapshot()
+        with fresh_store.write() as state:
+            state.upsert_concept(CAT)
+        assert state.taxonomy is base.taxonomy
+        assert state.registry is base.registry
+
+    def test_unchanged_writes_copy_nothing(self, fresh_store):
+        base = fresh_store.snapshot()
+        with fresh_store.write() as state:
+            assert state.register_category(["zviera"]) == "unchanged"
+            assert state.upsert_relation_type(base.registry.get("related")) == "unchanged"
+            assert state.upsert_concept(base.require(TREE)) == "unchanged"
+        for table in store_module._SHARED:
+            assert getattr(state, table) is getattr(base, table), table
 
     def test_bucket_copied_once_per_transaction(self, fresh_store):
         with fresh_store.write() as state:
